@@ -385,18 +385,6 @@ def concat_rows(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return record_op(tape, (a, b), out, bwd)
 
 
-def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    if a.rows != b.rows:
-        raise ShapeError(f"column concat needs equal heights, got {a.shape} and {b.shape}")
-    out = Tensor(np.hstack([a.data, b.data]))
-    n = a.cols
-
-    def bwd(g):
-        return g[:, :n], g[:, n:]
-
-    return record_op(tape, (a, b), out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # parameters and the optimizer
 

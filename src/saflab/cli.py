@@ -45,10 +45,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in raw.split(",") if p.strip() != ""]
+    """`lo..hi` (inclusive) or `a,b,c`: a non-empty list of unique seeds >= 0."""
+    try:
+        if ".." in raw:
+            lo, hi = raw.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(p) for p in raw.split(",") if p.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers as lo..hi or a,b,c, got {raw!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{raw!r} names no seeds")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"{raw!r} repeats a seed")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {raw!r}")
+    return seeds
 
 
 def _load_file_config(path: Path, overrides: dict[tuple[str, str], str]):
@@ -119,10 +132,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     base_dir = cfg_path.parent
     if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-        manifest = run_with_seeds(cfg, seeds, out, base_dir)
+        manifest = run_with_seeds(cfg, args.seeds, out, base_dir)
         agg = manifest["aggregate"]
-        print(f"{len(seeds)} runs -> {out}: mean tgt acc "
+        print(f"{len(args.seeds)} runs -> {out}: mean tgt acc "
               f"{agg['mean_target_accuracy']:.4f} (sd {agg['sd_target_accuracy']:.4f})")
     else:
         source, target = load_datasets(cfg, base_dir)
@@ -152,8 +164,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg_path = Path(args.config)
     cfg = _load_file_config(cfg_path, {})
-    seeds = _parse_seeds(args.seeds)
-    table = run_ablation(cfg, seeds, Path(args.out), cfg_path.parent)
+    table = run_ablation(cfg, args.seeds, Path(args.out), cfg_path.parent)
     print(table.read_text(encoding="utf-8"), end="")
     return 0
 
@@ -195,7 +206,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="run one configuration, optionally over several seeds")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seeds", default=None, help="e.g. 0..4 or 0,1,2")
+    t.add_argument("--seeds", type=_parse_seeds, default=None, help="e.g. 0..4 or 0,1,2")
     t.add_argument("--saf", choices=["on", "off"], default=None,
                    help="override the config's train.saf")
     t.add_argument("--backbone", choices=["dann", "mdd"], default=None)
@@ -210,7 +221,7 @@ def build_parser() -> _Parser:
 
     a = sub.add_parser("ablate", help="run the ten-variant modification grid")
     a.add_argument("--config", required=True)
-    a.add_argument("--seeds", default="0..4")
+    a.add_argument("--seeds", type=_parse_seeds, default="0..4")
     a.add_argument("--out", required=True)
     a.set_defaults(fn=cmd_ablate)
 

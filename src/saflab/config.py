@@ -1,13 +1,16 @@
 """Flat `key = value` config files with sections, parsed strictly.
 
-Unknown sections or keys are rejected by name; `#` starts a comment.  The
-same registry drives parsing, default documentation (`--print-config`) and
-canonical serialization for run-directory snapshots.
+Unknown sections or keys are rejected by name; `#` starts a comment.  One
+table, :data:`TABLE`, drives parsing, defaults, default documentation
+(`--print-config`) and canonical serialization for run-directory snapshots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from .exceptions import ConfigError
 from .mixup import MixupPolicy
@@ -51,48 +54,64 @@ def _fmt_threshold(v) -> str:
     return "auto" if v is None else repr(float(v))
 
 
-# section -> key -> (parser, formatter, comment)
-_SCHEMA = {
-    "data": {
-        "source": (str, str, "labeled source CSV"),
-        "target": (str, str, "labeled target CSV (labels used for evaluation only)"),
-    },
-    "model": {
-        "backbone": (str, str, "dann | mdd"),
-        "input_dim": (int, str, "feature width of the raw data"),
-        "f_widths": (_parse_widths, _fmt_widths, "extractor layer widths, last = feature dim"),
-        "bottleneck_dim": (int, str, ""),
-        "saf_dim": (int, str, "mixup bottleneck output width"),
-        "num_classes": (int, str, ""),
-        "saf_bottlenecks": (int, str, "parallel mixup bottlenecks (2 = standard)"),
-        "dropout": (float, repr, "rate used in bottleneck/classifier/adversary"),
-        "conditioned_adversary": (_parse_bool, _fmt_bool,
-                                  "dann only: append class probabilities to the adversary input"),
-    },
-    "train": {
-        "iterations": (int, str, "total optimization steps"),
-        "batch_size": (int, str, ""),
-        "base_lr": (float, repr, "extractor/adversary rate; bottleneck/classifier/mixup run 10x"),
-        "momentum": (float, repr, "Nesterov momentum"),
-        "lambda_d_max": (float, repr, "adversarial ramp ceiling"),
-        "lambda_m_max": (float, repr, "mixup ramp ceiling"),
-        "margin_gamma": (float, repr, "source-term weight of the mdd adversary loss"),
-        "saf": (_parse_bool, _fmt_bool, "enable the mixup supervision branch"),
-        "eval_every": (int, str, "evaluation cadence in steps"),
-        "seed": (int, str, ""),
-    },
-    "mixup": {
-        "mode": (str, str, "saf | beta | constant"),
-        "beta_alpha": (float, repr, "Beta(alpha, alpha) used in beta mode"),
-        "constant_eta": (float, repr, "weight used in constant mode"),
-        "entropy_filter": (str, str, "none | only_uncertain | only_certain"),
-        "entropy_threshold": (_parse_threshold, _fmt_threshold,
-                              "auto = half the maximum entropy log(K)"),
-        "include_source": (_parse_bool, _fmt_bool, "append source rows to the mixing pool"),
-        "after_bottleneck": (_parse_bool, _fmt_bool,
-                             "mix bottleneck outputs instead of extractor outputs"),
-    },
-}
+class Key(NamedTuple):
+    """One config key: where it lives in the file and in the dataclasses."""
+
+    section: str
+    key: str
+    owner: str  # "file" (FileConfig), "train" (TrainConfig) or "mixup" (MixupPolicy)
+    attr: str
+    parse: Callable[[str], Any]
+    fmt: Callable[[Any], str]
+    comment: str = ""
+
+
+# serialization order; each section's keys must stay contiguous (_render groups them)
+TABLE = (
+    Key("data", "source", "file", "source_path", str, str, "labeled source CSV"),
+    Key("data", "target", "file", "target_path", str, str,
+        "labeled target CSV (labels used for evaluation only)"),
+    Key("model", "backbone", "train", "backbone", str, str, "dann | mdd"),
+    Key("model", "input_dim", "train", "input_dim", int, str, "feature width of the raw data"),
+    Key("model", "f_widths", "train", "f_widths", _parse_widths, _fmt_widths,
+        "extractor layer widths, last = feature dim"),
+    Key("model", "bottleneck_dim", "train", "bottleneck_dim", int, str),
+    Key("model", "saf_dim", "train", "saf_dim", int, str, "mixup bottleneck output width"),
+    Key("model", "num_classes", "train", "num_classes", int, str),
+    Key("model", "saf_bottlenecks", "train", "saf_bottlenecks", int, str,
+        "parallel mixup bottlenecks (2 = standard)"),
+    Key("model", "dropout", "train", "dropout", float, repr,
+        "rate used in bottleneck/classifier/adversary"),
+    Key("train", "iterations", "train", "total_iterations", int, str, "total optimization steps"),
+    Key("train", "batch_size", "train", "batch_size", int, str),
+    Key("train", "base_lr", "train", "base_lr", float, repr,
+        "extractor/adversary rate; bottleneck/classifier/mixup run 10x"),
+    Key("train", "momentum", "train", "momentum", float, repr, "Nesterov momentum"),
+    Key("train", "lambda_d_max", "train", "lambda_d_max", float, repr, "adversarial ramp ceiling"),
+    Key("train", "lambda_m_max", "train", "lambda_m_max", float, repr, "mixup ramp ceiling"),
+    Key("train", "margin_gamma", "train", "margin_gamma", float, repr,
+        "source-term weight of the mdd adversary loss"),
+    Key("train", "saf", "train", "saf_enabled", _parse_bool, _fmt_bool,
+        "enable the mixup supervision branch"),
+    Key("train", "eval_every", "train", "eval_every", int, str, "evaluation cadence in steps"),
+    Key("train", "seed", "train", "seed", int, str),
+    Key("mixup", "mode", "mixup", "mode", str, str, "saf | beta | constant"),
+    Key("mixup", "beta_alpha", "mixup", "beta_alpha", float, repr,
+        "Beta(alpha, alpha) used in beta mode"),
+    Key("mixup", "constant_eta", "mixup", "constant_eta", float, repr,
+        "weight used in constant mode"),
+    Key("mixup", "entropy_filter", "mixup", "entropy_filter", str, str,
+        "none | only_uncertain | only_certain"),
+    Key("mixup", "entropy_threshold", "mixup", "entropy_threshold", _parse_threshold,
+        _fmt_threshold, "auto = half the maximum entropy log(K)"),
+    Key("mixup", "include_source", "mixup", "include_source", _parse_bool, _fmt_bool,
+        "append source rows to the mixing pool"),
+    Key("mixup", "after_bottleneck", "train", "mixup_after_bottleneck", _parse_bool, _fmt_bool,
+        "mix bottleneck outputs instead of extractor outputs"),
+)
+
+_KEYS = {(k.section, k.key): k for k in TABLE}
+_SECTIONS = {k.section for k in TABLE}
 
 
 @dataclass
@@ -104,42 +123,9 @@ class FileConfig:
     train: TrainConfig
 
     def pairs(self) -> dict[tuple[str, str], str]:
-        t, m = self.train, self.train.mixup
-        values = {
-            ("data", "source"): self.source_path,
-            ("data", "target"): self.target_path,
-            ("model", "backbone"): t.backbone,
-            ("model", "input_dim"): t.input_dim,
-            ("model", "f_widths"): t.f_widths,
-            ("model", "bottleneck_dim"): t.bottleneck_dim,
-            ("model", "saf_dim"): t.saf_dim,
-            ("model", "num_classes"): t.num_classes,
-            ("model", "saf_bottlenecks"): t.saf_bottlenecks,
-            ("model", "dropout"): t.dropout,
-            ("model", "conditioned_adversary"): t.conditioned_adversary,
-            ("train", "iterations"): t.total_iterations,
-            ("train", "batch_size"): t.batch_size,
-            ("train", "base_lr"): t.base_lr,
-            ("train", "momentum"): t.momentum,
-            ("train", "lambda_d_max"): t.lambda_d_max,
-            ("train", "lambda_m_max"): t.lambda_m_max,
-            ("train", "margin_gamma"): t.margin_gamma,
-            ("train", "saf"): t.saf_enabled,
-            ("train", "eval_every"): t.eval_every,
-            ("train", "seed"): t.seed,
-            ("mixup", "mode"): m.mode,
-            ("mixup", "beta_alpha"): m.beta_alpha,
-            ("mixup", "constant_eta"): m.constant_eta,
-            ("mixup", "entropy_filter"): m.entropy_filter,
-            ("mixup", "entropy_threshold"): m.entropy_threshold,
-            ("mixup", "include_source"): m.include_source,
-            ("mixup", "after_bottleneck"): t.mixup_after_bottleneck,
-        }
-        out = {}
-        for (section, key), value in values.items():
-            _, fmt, _ = _SCHEMA[section][key]
-            out[(section, key)] = fmt(value)
-        return out
+        """Formatted `(section, key) -> value` for every key, in file order."""
+        owners = {"file": self, "train": self.train, "mixup": self.train.mixup}
+        return {(k.section, k.key): k.fmt(getattr(owners[k.owner], k.attr)) for k in TABLE}
 
 
 def default_config() -> FileConfig:
@@ -156,7 +142,7 @@ def parse_pairs(text: str) -> dict[tuple[str, str], str]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -164,7 +150,7 @@ def parse_pairs(text: str) -> dict[tuple[str, str], str]:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside of any [section]")
         key, value = (p.strip() for p in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
         pairs[(section, key)] = value
     return pairs
@@ -174,75 +160,37 @@ def build_config(pairs: dict[tuple[str, str], str]) -> FileConfig:
     """Defaults overlaid with the given pairs, validated by the dataclasses."""
     merged = default_config().pairs()
     merged.update(pairs)
-    parsed = {}
-    for (section, key), raw in merged.items():
-        parser, _, _ = _SCHEMA[section][key]
+    kwargs: dict[str, dict[str, Any]] = {"file": {}, "train": {}, "mixup": {}}
+    for k in TABLE:
         try:
-            parsed[(section, key)] = parser(raw)
+            kwargs[k.owner][k.attr] = k.parse(merged[(k.section, k.key)])
         except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from None
-
-    def g(section, key):
-        return parsed[(section, key)]
-
-    policy = MixupPolicy(
-        mode=g("mixup", "mode"),
-        beta_alpha=g("mixup", "beta_alpha"),
-        constant_eta=g("mixup", "constant_eta"),
-        entropy_filter=g("mixup", "entropy_filter"),
-        entropy_threshold=g("mixup", "entropy_threshold"),
-        include_source=g("mixup", "include_source"),
-    )
-    train = TrainConfig(
-        backbone=g("model", "backbone"),
-        total_iterations=g("train", "iterations"),
-        batch_size=g("train", "batch_size"),
-        base_lr=g("train", "base_lr"),
-        momentum=g("train", "momentum"),
-        lambda_d_max=g("train", "lambda_d_max"),
-        lambda_m_max=g("train", "lambda_m_max"),
-        margin_gamma=g("train", "margin_gamma"),
-        saf_enabled=g("train", "saf"),
-        eval_every=g("train", "eval_every"),
-        seed=g("train", "seed"),
-        mixup=policy,
-        input_dim=g("model", "input_dim"),
-        f_widths=g("model", "f_widths"),
-        bottleneck_dim=g("model", "bottleneck_dim"),
-        saf_dim=g("model", "saf_dim"),
-        num_classes=g("model", "num_classes"),
-        saf_bottlenecks=g("model", "saf_bottlenecks"),
-        dropout=g("model", "dropout"),
-        mixup_after_bottleneck=g("mixup", "after_bottleneck"),
-        conditioned_adversary=g("model", "conditioned_adversary"),
-    )
-    return FileConfig(g("data", "source"), g("data", "target"), train)
+            raise ConfigError(f"{k.section}.{k.key}: {exc}") from None
+    train = TrainConfig(mixup=MixupPolicy(**kwargs["mixup"]), **kwargs["train"])
+    return FileConfig(train=train, **kwargs["file"])
 
 
 def parse_config(text: str) -> FileConfig:
     return build_config(parse_pairs(text))
 
 
-def serialize_config(cfg: FileConfig) -> str:
-    """Canonical text form: every key in schema order, no comments."""
+def _render(cfg: FileConfig, comments: bool) -> str:
     pairs = cfg.pairs()
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in groupby(TABLE, key=attrgetter("section")):
         lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {pairs[(section, key)]}")
+        for k in keys:
+            entry = f"{k.key} = {pairs[(section, k.key)]}"
+            lines.append(f"{entry}  # {k.comment}" if comments and k.comment else entry)
         lines.append("")
     return "\n".join(lines)
+
+
+def serialize_config(cfg: FileConfig) -> str:
+    """Canonical text form: every key in table order, no comments."""
+    return _render(cfg, comments=False)
 
 
 def documented_default_text() -> str:
     """Default config with one comment per documented key (--print-config)."""
-    pairs = default_config().pairs()
-    lines = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (_, _, comment) in keys.items():
-            entry = f"{key} = {pairs[(section, key)]}"
-            lines.append(f"{entry}  # {comment}" if comment else entry)
-        lines.append("")
-    return "\n".join(lines)
+    return _render(default_config(), comments=True)

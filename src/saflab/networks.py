@@ -168,7 +168,7 @@ class ModelBundle:
     """F, B, C, D and M with all dimension seams checked at build time."""
 
     def __init__(self, F: MLP, B: MLP, C: MLP, D: MLP, M: SAFModule,
-                 backbone: str, num_classes: int, conditioned_adversary: bool = False):
+                 backbone: str, num_classes: int):
         self.F = F
         self.B = B
         self.C = C
@@ -176,7 +176,6 @@ class ModelBundle:
         self.M = M
         self.backbone = backbone
         self.num_classes = num_classes
-        self.conditioned_adversary = conditioned_adversary
 
     def parameters(self):
         yield from self.F.parameters()
@@ -247,12 +246,10 @@ def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
     c_spec = MLPSpec(config.bottleneck_dim, [config.bottleneck_dim, k],
                      ["relu", "none"], [drop, 0.0])
     d_out = 2 if config.backbone == "dann" else k
-    d_in = config.bottleneck_dim + (k if config.conditioned_adversary else 0)
-    d_spec = MLPSpec(d_in, [config.bottleneck_dim, d_out], ["relu", "none"], [drop, 0.0])
+    d_spec = MLPSpec(config.bottleneck_dim, [config.bottleneck_dim, d_out], ["relu", "none"],
+                     [drop, 0.0])
     if config.backbone not in ("dann", "mdd"):
         raise ConfigError(f"unknown backbone {config.backbone!r}")
-    if config.conditioned_adversary and config.backbone != "dann":
-        raise ConfigError("the class-conditioned adversary is a dann-only option")
 
     saf_in = config.bottleneck_dim if config.mixup_after_bottleneck else feature_dim
     F = MLP(f_spec, rng, 1.0, "F")
@@ -260,7 +257,7 @@ def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
     C = MLP(c_spec, rng, 10.0, "C")
     D = MLP(d_spec, rng, 1.0, "D")
     M = SAFModule(saf_in, config.saf_dim, config.saf_bottlenecks, rng, 10.0, "M")
-    return ModelBundle(F, B, C, D, M, config.backbone, k, config.conditioned_adversary)
+    return ModelBundle(F, B, C, D, M, config.backbone, k)
 
 
 def forward_features(tape: Tape | None, bundle: ModelBundle, x,
@@ -289,12 +286,6 @@ def adversary_logits(tape: Tape | None, bundle: ModelBundle, features: Tensor,
     """
     h = ad.grad_reverse(tape, features, lambda_d)
     h = bundle.B.forward(tape, h, training, rng)
-    if bundle.conditioned_adversary:
-        # rough stand-in for a prediction-conditioned adversary: append the
-        # gradient-stopped class probabilities to the bottleneck output
-        logits = classify(None, bundle, Tensor(features.data), training=False)
-        probs = ad.softmax_rows(None, logits)
-        h = ad.concat_cols(tape, h, Tensor(probs.data))
     return bundle.D.forward(tape, h, training, rng)
 
 

@@ -31,7 +31,7 @@ from .losses import (
     empirical_mdd_estimate,
     mdd_adversarial_loss,
 )
-from .mixup import MixupPolicy, saf_mixup_batch, saf_supervision_loss
+from .mixup import MixupPolicy, pseudo_label_probs, saf_mixup_batch, saf_supervision_loss
 from .networks import ModelBundle, adversary_logits, build_bundle, classify, forward_features
 
 METRICS_HEADER = "iter,eps_c,eps_d,eps_m,lambda_d,lambda_m,src_acc,tgt_acc,tgt_entropy,mdd_est,h_div"
@@ -61,7 +61,6 @@ class TrainConfig:
     saf_bottlenecks: int = 2
     dropout: float = 0.1
     mixup_after_bottleneck: bool = False
-    conditioned_adversary: bool = False
 
     def __post_init__(self):
         if self.backbone not in ("dann", "mdd"):
@@ -133,11 +132,105 @@ def lambda_m_schedule(t: int, total: int, max_value: float = 0.1) -> float:
     return _ramp(t, total, max_value, 5.0)
 
 
-def _pseudo_probs_for(bundle: ModelBundle, raw_inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode F -> B -> C probabilities on raw inputs, detached."""
-    feats = forward_features(None, bundle, raw_inputs)
-    logits = classify(None, bundle, feats, training=False)
-    return ad.softmax_rows(None, logits).data
+@dataclass
+class Objective:
+    """One evaluation of the joint objective: its terms plus the activations
+    the evaluation diagnostics read."""
+
+    total: Tensor
+    eps_c: Tensor
+    eps_d: Tensor
+    eps_m: Tensor
+    lambda_d: float
+    lambda_m: float
+    feats_src: Tensor
+    feats_tgt: Tensor
+    logits_src: Tensor
+    d_src: Tensor
+    d_tgt: Tensor
+
+    def terms(self) -> dict:
+        return {"eps_c": self.eps_c.item(), "eps_d": self.eps_d.item(),
+                "eps_m": self.eps_m.item(), "lambda_d": self.lambda_d,
+                "lambda_m": self.lambda_m}
+
+
+def objective(
+    bundle: ModelBundle,
+    src: Batch,
+    tgt: Batch,
+    config: TrainConfig,
+    t: int,
+    *,
+    tape: Tape | None,
+    training: bool,
+    rng: np.random.Generator,
+) -> Objective:
+    """eps_c + eps_d + lambda_m(t) * eps_m on one source and one target batch.
+
+    :func:`train_step` builds it on a tape in training mode and
+    differentiates ``total``; :func:`evaluate` computes the same terms with
+    ``tape=None, training=False``.  The GRL coefficient lambda_d(t) scales
+    (and flips) only the extractor's share of the adversarial gradient; when
+    it is exactly 0 the adversarial term is computed out of graph in eval
+    mode and left out of ``total``, so the step matches plain supervised
+    training.  In training mode a mixed batch of fewer than 2 rows (batch
+    norm needs 2) contributes 0, like an empty one.
+
+    F has no dropout and no batch norm, so its output is the same in either
+    mode: the eval-mode pseudo-label and adversary passes reuse the features
+    computed here.  Every training-mode pass through B updates B's running
+    statistics, in a fixed order: an mdd+saf step makes 4 such passes --
+    source classify, source adversary, target adversary, then the mixed
+    rows (with ``after_bottleneck`` the mixing inputs, target then source,
+    pass through B instead of the mixed rows).  B normalises each domain's
+    batch on its own, unlike the reference code of DANN and MDD, which passes
+    one concatenated source+target batch; changing that changes the numerics.
+    """
+    if src.labels is None:
+        raise DataError("source batches must carry labels")
+    lam_d = lambda_d_schedule(t, config.total_iterations, config.lambda_d_max)
+    lam_m = lambda_m_schedule(t, config.total_iterations, config.lambda_m_max)
+
+    feats_src = forward_features(tape, bundle, src, training, rng)
+    logits_src = classify(tape, bundle, feats_src, training, rng)
+    eps_c = cross_entropy(tape, logits_src, src.labels)
+    total = eps_c
+    feats_tgt = forward_features(tape, bundle, tgt, training, rng)
+
+    adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
+    d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
+    d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
+    if config.backbone == "dann":
+        eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
+    else:
+        c_src = Tensor(pseudo_label_probs(bundle, feats_src.data))
+        c_tgt = Tensor(pseudo_label_probs(bundle, feats_tgt.data))
+        eps_d = mdd_adversarial_loss(adv_tape, c_src, d_src, c_tgt, d_tgt,
+                                     config.margin_params())
+    if lam_d > 0.0:
+        total = ad.add(tape, total, eps_d)
+
+    eps_m = Tensor([[0.0]])
+    if config.saf_enabled:
+        after = config.mixup_after_bottleneck
+
+        def mix_view(feats: Tensor) -> Tensor:
+            return bundle.B.forward(tape, feats, training, rng) if after else feats
+
+        mix_input = mix_view(feats_tgt)
+        src_kw = {}
+        if config.mixup.include_source:
+            src_kw = {"src_features": mix_view(feats_src), "src_labels": src.labels}
+        mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng,
+                                through_bottleneck=not after, **src_kw)
+        if len(mixed) >= 2 or not training:
+            eps_m = saf_supervision_loss(tape, bundle, mixed, training, rng,
+                                         through_bottleneck=not after)
+            total = ad.add(tape, total, ad.scale_shift(tape, eps_m, lam_m))
+
+    return Objective(total, eps_c, eps_d, eps_m, lam_d, lam_m,
+                     feats_src, feats_tgt, logits_src, d_src, d_tgt)
 
 
 def train_step(
@@ -148,92 +241,13 @@ def train_step(
     t: int,
     rng: np.random.Generator,
 ) -> dict:
-    """One optimization step; returns the loss fragment that drove it.
-
-    The backward pass runs on eps_c + eps_d + lambda_m(t) * eps_m.  The GRL
-    coefficient lambda_d(t) scales (and flips) only the extractor's share of
-    the adversarial gradient; when it is exactly 0 the adversarial branch is
-    evaluated out of graph so the step matches plain supervised training.
-    """
-    if src.labels is None:
-        raise DataError("source training batches must carry labels")
-    lam_d = lambda_d_schedule(t, config.total_iterations, config.lambda_d_max)
-    lam_m = lambda_m_schedule(t, config.total_iterations, config.lambda_m_max)
-
+    """One optimization step on :func:`objective`; returns its terms."""
     tape = Tape()
-    feats_src = forward_features(tape, bundle, src, training=True, rng=rng)
-    logits_src = classify(tape, bundle, feats_src, training=True, rng=rng)
-    eps_c = cross_entropy(tape, logits_src, src.labels)
-    total = eps_c
-
-    feats_tgt = None
-    if lam_d > 0.0 or config.saf_enabled:
-        feats_tgt = forward_features(tape, bundle, tgt, training=True, rng=rng)
-
-    if lam_d > 0.0:
-        d_src = adversary_logits(tape, bundle, feats_src, lam_d, training=True, rng=rng)
-        d_tgt = adversary_logits(tape, bundle, feats_tgt, lam_d, training=True, rng=rng)
-        if config.backbone == "dann":
-            eps_d = dann_domain_loss(tape, d_src, d_tgt)
-        else:
-            c_src = Tensor(_pseudo_probs_for(bundle, src.features))
-            c_tgt = Tensor(_pseudo_probs_for(bundle, tgt.features))
-            eps_d = mdd_adversarial_loss(tape, c_src, d_src, c_tgt, d_tgt,
-                                         config.margin_params())
-        total = ad.add(tape, total, eps_d)
-        eps_d_val = eps_d.item()
-    else:
-        eps_d_val = _adversarial_loss_value(bundle, src, tgt, config)
-
-    if config.saf_enabled:
-        if config.mixup_after_bottleneck:
-            mix_input = bundle.B.forward(tape, feats_tgt, training=True, rng=rng)
-        else:
-            mix_input = feats_tgt
-        src_kw = {}
-        if config.mixup.include_source:
-            src_feats = feats_src
-            if config.mixup_after_bottleneck:
-                src_feats = bundle.B.forward(tape, src_feats, training=True, rng=rng)
-            src_kw = {"src_features": src_feats, "src_labels": src.labels}
-        mixed = saf_mixup_batch(
-            tape, bundle, mix_input, config.mixup, rng,
-            through_bottleneck=not config.mixup_after_bottleneck, **src_kw,
-        )
-        # entropy filters can leave a single pair; batch norm needs >= 2 rows
-        # in training mode, so such remnants contribute nothing (like empty)
-        if len(mixed) >= 2:
-            eps_m = saf_supervision_loss(
-                tape, bundle, mixed, training=True, rng=rng,
-                through_bottleneck=not config.mixup_after_bottleneck,
-            )
-            total = ad.add(tape, total, ad.scale_shift(tape, eps_m, lam_m))
-            eps_m_val = eps_m.item()
-        else:
-            eps_m_val = 0.0
-    else:
-        eps_m_val = 0.0
-
-    ad.backward(total, tape)
+    obj = objective(bundle, src, tgt, config, t, tape=tape, training=True, rng=rng)
+    ad.backward(obj.total, tape)
     trained = [p for p in bundle.parameters() if p.tensor.grad is not None]
     ad.sgd_nesterov_step(trained, config.base_lr, config.momentum)
-    return {"eps_c": eps_c.item(), "eps_d": eps_d_val, "eps_m": eps_m_val,
-            "lambda_d": lam_d, "lambda_m": lam_m}
-
-
-def _adversarial_loss_value(bundle: ModelBundle, src: Batch, tgt: Batch,
-                            config: TrainConfig) -> float:
-    """Eval-mode adversarial loss, out of graph (metric only)."""
-    feats_s = forward_features(None, bundle, src)
-    feats_t = forward_features(None, bundle, tgt)
-    d_src = adversary_logits(None, bundle, feats_s, 0.0)
-    d_tgt = adversary_logits(None, bundle, feats_t, 0.0)
-    if config.backbone == "dann":
-        return dann_domain_loss(None, d_src, d_tgt).item()
-    c_src = Tensor(_pseudo_probs_for(bundle, src.features))
-    c_tgt = Tensor(_pseudo_probs_for(bundle, tgt.features))
-    return mdd_adversarial_loss(None, c_src, d_src, c_tgt, d_tgt,
-                                config.margin_params()).item()
+    return obj.terms()
 
 
 def evaluate(
@@ -243,7 +257,8 @@ def evaluate(
     config: TrainConfig,
     iteration: int = 0,
 ) -> MetricsRecord:
-    """Eval-mode metrics: losses, accuracies, and the divergence diagnostics.
+    """Eval-mode metrics: the objective's terms, accuracies, and the
+    divergence diagnostics.
 
     Deterministic: the mixup loss uses a generator freshly seeded from the
     config, so calling twice yields identical records.  Target labels are
@@ -251,47 +266,16 @@ def evaluate(
     """
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("evaluation batches must carry labels")
-    lam_d = lambda_d_schedule(iteration, config.total_iterations, config.lambda_d_max)
-    lam_m = lambda_m_schedule(iteration, config.total_iterations, config.lambda_m_max)
-
-    feats_s = forward_features(None, bundle, src_eval)
-    feats_t = forward_features(None, bundle, tgt_eval)
-    logits_s = classify(None, bundle, feats_s)
-    logits_t = classify(None, bundle, feats_t)
-    probs_s = ad.softmax_rows(None, logits_s).data
+    obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
+                    training=False, rng=np.random.default_rng(config.seed))
+    logits_t = classify(None, bundle, obj.feats_tgt)
     probs_t = ad.softmax_rows(None, logits_t).data
 
-    eps_c = cross_entropy(None, logits_s, src_eval.labels).item()
-    eps_d = _adversarial_loss_value(bundle, src_eval, tgt_eval, config)
-
-    if config.saf_enabled:
-        eval_rng = np.random.default_rng(config.seed)
-        mix_input = feats_t
-        if config.mixup_after_bottleneck:
-            mix_input = bundle.B.forward(None, feats_t)
-        src_kw = {}
-        if config.mixup.include_source:
-            sf = feats_s
-            if config.mixup_after_bottleneck:
-                sf = bundle.B.forward(None, sf)
-            src_kw = {"src_features": sf, "src_labels": src_eval.labels}
-        mixed = saf_mixup_batch(
-            None, bundle, mix_input, config.mixup, eval_rng,
-            through_bottleneck=not config.mixup_after_bottleneck, **src_kw,
-        )
-        eps_m = saf_supervision_loss(
-            None, bundle, mixed, training=False,
-            through_bottleneck=not config.mixup_after_bottleneck,
-        ).item()
-    else:
-        eps_m = 0.0
-
-    d_src = adversary_logits(None, bundle, feats_s, lam_d)
-    d_tgt = adversary_logits(None, bundle, feats_t, lam_d)
-    if d_src.cols == config.num_classes:
+    if obj.d_src.cols == config.num_classes:
         params = config.margin_params()
-        probs_d_s = ad.softmax_rows(None, d_src).data
-        probs_d_t = ad.softmax_rows(None, d_tgt).data
+        probs_s = ad.softmax_rows(None, obj.logits_src).data
+        probs_d_s = ad.softmax_rows(None, obj.d_src).data
+        probs_d_t = ad.softmax_rows(None, obj.d_tgt).data
         delta_s = empirical_margin_disparity(probs_s, probs_d_s, params.rho)
         delta_t = empirical_margin_disparity(probs_t, probs_d_t, params.rho)
         mdd_est = empirical_mdd_estimate(delta_s, delta_t)
@@ -301,16 +285,12 @@ def evaluate(
 
     return MetricsRecord(
         iteration=iteration,
-        eps_c=eps_c,
-        eps_d=eps_d,
-        eps_m=eps_m,
-        lambda_d=lam_d,
-        lambda_m=lam_m,
-        src_acc=accuracy(logits_s, src_eval.labels),
+        **obj.terms(),
+        src_acc=accuracy(obj.logits_src, src_eval.labels),
         tgt_acc=accuracy(logits_t, tgt_eval.labels),
         tgt_entropy=float(conditional_entropy(probs_t).mean()),
         mdd_est=mdd_est,
-        h_div=empirical_h_divergence(feats_s.data, feats_t.data),
+        h_div=empirical_h_divergence(obj.feats_src.data, obj.feats_tgt.data),
     )
 
 

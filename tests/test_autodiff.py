@@ -370,12 +370,6 @@ class TestGatherConcat:
         np.testing.assert_array_equal(a.grad, [[0, 0, 0], [1, 1, 1]])
         np.testing.assert_array_equal(b.grad, [[2, 2, 2], [3, 3, 3], [4, 4, 4]])
 
-    def test_concat_cols(self, rng):
-        a = t(rng.normal(size=(2, 2)))
-        b = t(rng.normal(size=(2, 3)))
-        out = ad.concat_cols(None, a, b)
-        assert out.shape == (2, 5)
-
 
 class TestOptimizer:
     def test_zero_momentum_is_plain_sgd(self):

@@ -211,3 +211,21 @@ class TestCli:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_removed_conditioned_adversary_key_exits_two(self, tmp_path, capsys):
+        old = tmp_path / "old.cfg"
+        old.write_text("[model]\nconditioned_adversary = off\n", encoding="utf-8")
+        code = main(["train", "--config", str(old), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "model.conditioned_adversary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("seeds", ["4..0", ",", "a", "0,0", "1..x", "-1"])
+    def test_bad_seed_list_is_usage_error(self, data_dir, tmp_path, capsys, command, seeds):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(data_dir / "tiny.cfg"), f"--seeds={seeds}",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --seeds" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,9 +1,11 @@
 """Strict config parsing, defaults, round-trips and overrides."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from saflab import ConfigError
+from saflab import ConfigError, MixupPolicy, TrainConfig
 from saflab.config import (
+    FileConfig,
     build_config,
     default_config,
     documented_default_text,
@@ -11,6 +13,7 @@ from saflab.config import (
     parse_pairs,
     serialize_config,
 )
+from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
 
 
 class TestParsing:
@@ -76,3 +79,52 @@ class TestParsing:
             parse_config("[train]\nbatch_size = 1\n")
         with pytest.raises(ConfigError):
             parse_config("[mixup]\nmode = lottery\n")
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_policies = st.builds(
+    MixupPolicy,
+    mode=st.sampled_from(MIX_MODES),
+    beta_alpha=_floats(0.0, 100.0, exclude_min=True),
+    constant_eta=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    entropy_filter=st.sampled_from(ENTROPY_FILTERS),
+    entropy_threshold=st.none() | _floats(0.0, 10.0),
+    include_source=st.booleans(),
+)
+
+_train_configs = st.builds(
+    TrainConfig,
+    backbone=st.sampled_from(("dann", "mdd")),
+    total_iterations=st.integers(1, 10**6),
+    batch_size=st.integers(2, 1024),
+    base_lr=_floats(0.0, 10.0, exclude_min=True),
+    momentum=_floats(0.0, 1.0),
+    lambda_d_max=_floats(0.0, 1.0),
+    lambda_m_max=_floats(0.0, 1.0),
+    margin_gamma=_floats(1.0, 100.0, exclude_min=True),
+    saf_enabled=st.booleans(),
+    eval_every=st.integers(1, 10**4),
+    seed=st.integers(0, 2**32 - 1),
+    mixup=_policies,
+    input_dim=st.integers(1, 64),
+    f_widths=st.lists(st.integers(1, 256), min_size=1, max_size=4).map(tuple),
+    bottleneck_dim=st.integers(1, 64),
+    saf_dim=st.integers(1, 64),
+    num_classes=st.integers(2, 10),
+    saf_bottlenecks=st.integers(1, 8),
+    dropout=_floats(0.0, 1.0, exclude_max=True),
+    mixup_after_bottleneck=st.booleans(),
+)
+
+_paths = st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True)
+
+
+@given(st.builds(FileConfig, source_path=_paths, target_path=_paths, train=_train_configs))
+def test_serialize_parse_round_trip(cfg):
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text

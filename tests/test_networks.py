@@ -59,16 +59,6 @@ class TestBuildBundle:
         assert [l.w.tensor.shape for l in bundle.D.layers] == \
                [l.w.tensor.shape for l in bundle.C.layers]
 
-    def test_conditioned_adversary_widens_input(self):
-        cfg = tiny_config(conditioned_adversary=True)
-        bundle = build_bundle(cfg, np.random.default_rng(0))
-        assert bundle.D.in_dim == cfg.bottleneck_dim + cfg.num_classes
-
-    def test_conditioned_adversary_is_dann_only(self):
-        with pytest.raises(ConfigError):
-            build_bundle(tiny_config(backbone="mdd", conditioned_adversary=True),
-                         np.random.default_rng(0))
-
 
 class TestForwardFeatures:
     def test_zero_weights_give_zero_features(self, tiny_bundle):
