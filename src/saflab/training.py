@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .data import Batch, cycle_batches
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, StateError
 from .losses import (
     MarginParams,
     accuracy,
@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError(f"margin gamma must exceed 1, got {self.margin_gamma}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         dims = (self.input_dim, *self.f_widths, self.bottleneck_dim, self.saf_dim)
@@ -135,7 +137,8 @@ def lambda_m_schedule(t: int, total: int, max_value: float = 0.1) -> float:
 @dataclass
 class Objective:
     """One evaluation of the joint objective: its terms plus the activations
-    the evaluation diagnostics read."""
+    the evaluation diagnostics read.  ``logits_tgt`` holds the eval-mode
+    target logits; a dann training step does not compute them."""
 
     total: Tensor
     eps_c: Tensor
@@ -146,6 +149,7 @@ class Objective:
     feats_src: Tensor
     feats_tgt: Tensor
     logits_src: Tensor
+    logits_tgt: Tensor | None
     d_src: Tensor
     d_tgt: Tensor
 
@@ -201,12 +205,19 @@ def objective(
     adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
     d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
     d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
+    # eval-mode target logits, after the adversary's B passes: MDD's target
+    # pseudo-labels and evaluate's target metrics.  No training-mode B pass
+    # runs between them and the mixup unless its inputs go through B, so
+    # otherwise their probabilities are the mixup pseudo-labels as well.
+    logits_tgt = probs_tgt = None
+    if config.backbone == "mdd" or not training:
+        logits_tgt = classify(None, bundle, feats_tgt)
+        probs_tgt = ad.softmax_rows(None, logits_tgt).data
     if config.backbone == "dann":
         eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
     else:
         c_src = Tensor(pseudo_label_probs(bundle, feats_src.data))
-        c_tgt = Tensor(pseudo_label_probs(bundle, feats_tgt.data))
-        eps_d = mdd_adversarial_loss(adv_tape, c_src, d_src, c_tgt, d_tgt,
+        eps_d = mdd_adversarial_loss(adv_tape, c_src, d_src, Tensor(probs_tgt), d_tgt,
                                      config.margin_params())
     if lam_d > 0.0:
         total = ad.add(tape, total, eps_d)
@@ -219,18 +230,20 @@ def objective(
             return bundle.B.forward(tape, feats, training, rng) if after else feats
 
         mix_input = mix_view(feats_tgt)
-        src_kw = {}
+        mix_kw = {}
+        if probs_tgt is not None and not after:
+            mix_kw["pseudo_probs"] = probs_tgt
         if config.mixup.include_source:
-            src_kw = {"src_features": mix_view(feats_src), "src_labels": src.labels}
+            mix_kw.update(src_features=mix_view(feats_src), src_labels=src.labels)
         mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng,
-                                through_bottleneck=not after, **src_kw)
+                                through_bottleneck=not after, **mix_kw)
         if len(mixed) >= 2 or not training:
             eps_m = saf_supervision_loss(tape, bundle, mixed, training, rng,
                                          through_bottleneck=not after)
             total = ad.add(tape, total, ad.scale_shift(tape, eps_m, lam_m))
 
     return Objective(total, eps_c, eps_d, eps_m, lam_d, lam_m,
-                     feats_src, feats_tgt, logits_src, d_src, d_tgt)
+                     feats_src, feats_tgt, logits_src, logits_tgt, d_src, d_tgt)
 
 
 def train_step(
@@ -262,14 +275,21 @@ def evaluate(
 
     Deterministic: the mixup loss uses a generator freshly seeded from the
     config, so calling twice yields identical records.  Target labels are
-    consumed only here.
+    consumed only here.  Raises :class:`StateError` when the features or
+    logits hold NaN or inf: a diverged model has no meaningful metrics.
     """
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("evaluation batches must carry labels")
     obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
                     training=False, rng=np.random.default_rng(config.seed))
-    logits_t = classify(None, bundle, obj.feats_tgt)
-    probs_t = ad.softmax_rows(None, logits_t).data
+    read = {"source features": obj.feats_src, "target features": obj.feats_tgt,
+            "source logits": obj.logits_src, "target logits": obj.logits_tgt,
+            "source adversary logits": obj.d_src, "target adversary logits": obj.d_tgt}
+    for name, tensor in read.items():
+        if not np.isfinite(tensor.data).all():
+            raise StateError(f"evaluation at iteration {iteration}: non-finite {name}; "
+                             "the model has diverged")
+    probs_t = ad.softmax_rows(None, obj.logits_tgt).data
 
     if obj.d_src.cols == config.num_classes:
         params = config.margin_params()
@@ -287,7 +307,7 @@ def evaluate(
         iteration=iteration,
         **obj.terms(),
         src_acc=accuracy(obj.logits_src, src_eval.labels),
-        tgt_acc=accuracy(logits_t, tgt_eval.labels),
+        tgt_acc=accuracy(obj.logits_tgt, tgt_eval.labels),
         tgt_entropy=float(conditional_entropy(probs_t).mean()),
         mdd_est=mdd_est,
         h_div=empirical_h_divergence(obj.feats_src.data, obj.feats_tgt.data),

@@ -220,6 +220,32 @@ class TestCli:
         assert "model.conditioned_adversary" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_config_seed_exits_two_writing_nothing(self, data_dir, tmp_path,
+                                                            capsys, command):
+        cfg = data_dir / "neg.cfg"
+        cfg.write_text(TINY_CFG + "seed = -1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
+                                                              capsys):
+        cfg = data_dir / "diverge.cfg"
+        cfg.write_text(TINY_CFG.replace("backbone = dann", "backbone = mdd")
+                       + "base_lr = 5\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "evaluation at iteration 4: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.txt").exists()
+        assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                     "--out", str(tmp_path / "abl")]) == 0
+        rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(runs.ABLATION_VARIANTS)
+        assert all(",nan,nan,error: evaluation at iteration " in r and "non-finite" in r
+                   for r in rows), rows
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("seeds", ["4..0", ",", "a", "0,0", "1..x", "-1"])
     def test_bad_seed_list_is_usage_error(self, data_dir, tmp_path, capsys, command, seeds):
         out = tmp_path / "o"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import saflab.autodiff as ad
 import saflab.losses as L
@@ -368,6 +369,39 @@ class TestHDivergence:
         slow = _h_div_oracle(s, t_pts, stumps)
         assert abs(fast - slow) < 1e-12
 
+    @given(st.data(), st.integers(1, 6), st.integers(1, 70))
+    @settings(max_examples=200, deadline=None)
+    def test_default_grid_is_bit_identical_to_the_loop(self, data, cols, points):
+        # coarse values give ties on the grid; constant columns, NaN and
+        # +-inf exercise the degenerate thresholds
+        values = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-3.0, 3.0).map(lambda v: round(v, 1)))
+        special = st.sampled_from([math.nan, math.inf, -math.inf])
+
+        def domain():
+            rows = data.draw(st.integers(1, 60))
+            pts = data.draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+            for r, c, v in data.draw(st.lists(st.tuples(
+                    st.integers(0, rows - 1), st.integers(0, cols - 1), special), max_size=3)):
+                pts[r, c] = v
+            return pts
+
+        s, t_pts = domain(), domain()
+        for c in data.draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+            s[:, c] = t_pts[:, c] = data.draw(values)
+        with np.errstate(invalid="ignore"):
+            stumps = L.axis_stump_grid(np.vstack([s, t_pts]), points)
+            fast = L.empirical_h_divergence(s, t_pts, points_per_axis=points)
+        assert repr(fast) == repr(L.empirical_h_divergence(s, t_pts, stumps))
+
+    def test_constant_column_leaves_other_thresholds_in_place(self):
+        # on [-3.0, 0.2] with 39 points, threshold 19 is -1.4000000000000001;
+        # linspace over both columns at once would put it at -1.4 because
+        # the second column is constant, and lose the one perfect split
+        s = np.array([[-3.0, 1.0], [-1.45, 1.0]])
+        t_pts = np.array([[-1.4, 1.0], [0.2, 1.0]])
+        assert L.empirical_h_divergence(s, t_pts, points_per_axis=39) == 2.0
+
     def test_symmetric_under_domain_swap(self, rng):
         s = rng.normal(size=(30, 2))
         t_pts = rng.normal(loc=0.5, size=(30, 2))
@@ -384,6 +418,9 @@ class TestHDivergence:
     def test_empty_hypothesis_set_rejected(self, rng):
         with pytest.raises(ConfigError):
             L.empirical_h_divergence(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), [])
+        with pytest.raises(ConfigError):
+            L.empirical_h_divergence(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+                                     points_per_axis=0)
 
 
 class TestAccuracy:
