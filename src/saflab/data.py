@@ -8,6 +8,7 @@ externally extracted feature sets flow through the same pipeline.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,6 +143,19 @@ def gen_gaussian_blobs(
         np.concatenate(labels),
         np.full(spec.n_samples, domain_tag, dtype=np.intp),
     )
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` whole or not at all: a temp file beside `path`, then
+    `os.replace` over it.  On failure the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_csv(batch: Batch, path) -> None:

@@ -97,7 +97,8 @@ def export_embeddings(
     lines = ["x,y,domain,label"]
     for i in range(projected.shape[0]):
         lines.append(
-            f"{projected[i, 0]!r},{projected[i, 1]!r},{int(domains[i])},{int(labels[i])}"
+            f"{float(projected[i, 0])!r},{float(projected[i, 1])!r},"
+            f"{int(domains[i])},{int(labels[i])}"
         )
     Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_scatter_svg(projected, domains, labels, out_svg)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Parameter, Tape, Tensor
+from .data import write_atomic
 from .exceptions import ConfigError, DataError, ShapeError
 
 ACTIVATIONS = ("relu", "sigmoid", "none")
@@ -197,8 +198,7 @@ class ModelBundle:
         for name, arr in self.named_arrays():
             vals = " ".join(repr(float(v)) for v in arr.ravel())
             lines.append(f"{name} {arr.shape[0]} {arr.shape[1]} {vals}")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     def load_params(self, path) -> None:
         with open(path, "r", encoding="utf-8") as f:

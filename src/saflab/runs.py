@@ -2,8 +2,10 @@
 
 Each seed gets its own run directory; the manifest records per-seed result
 paths, dataset hashes and the aggregate target-accuracy statistics, all
-recomputable from the per-seed metrics files.  Worker parallelism is capped
-by the SAF_LAB_THREADS environment variable.
+recomputable from the per-seed metrics files.  Seeds and ablation variants
+run one after another in this process: a step is about 130 tiny numpy ops
+that hold the GIL, so threads only add contention, and a process pool would
+take the steps out of reach of in-process timing.
 """
 
 from __future__ import annotations
@@ -11,41 +13,28 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import FileConfig, serialize_config
-from .data import Batch, load_csv, SOURCE_TAG, TARGET_TAG
-from .exceptions import DataError, SafLabError
+from .config import FileConfig, build_config, serialize_config
+from .data import Batch, load_csv, SOURCE_TAG, TARGET_TAG, write_atomic
+from .exceptions import DataError
 from .training import METRICS_HEADER, run_experiment
 
-ABLATION_VARIANTS = (
-    "backbone_only",
-    "no_bottleneck",
-    "beta_eta",
-    "constant_eta",
-    "one_bottleneck",
-    "four_bottlenecks",
-    "include_source",
-    "only_uncertain",
-    "only_certain",
-    "full_saf",
-)
-
-
-def max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("SAF_LAB_THREADS")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise SafLabError(f"SAF_LAB_THREADS must be an integer, got {cap!r}") from None
-        if cap_n < 1:
-            raise SafLabError(f"SAF_LAB_THREADS must be >= 1, got {cap_n}")
-        return max(1, min(n_tasks, cap_n))
-    return max(1, min(n_tasks, os.cpu_count() or 1))
+# variant -> the config-file (section, key) pairs it overrides; full_saf is the base
+ABLATION = {
+    "backbone_only": {("train", "saf"): "off"},
+    "no_bottleneck": {("mixup", "after_bottleneck"): "on"},
+    "beta_eta": {("mixup", "mode"): "beta"},
+    "constant_eta": {("mixup", "mode"): "constant"},
+    "one_bottleneck": {("model", "saf_bottlenecks"): "1"},
+    "four_bottlenecks": {("model", "saf_bottlenecks"): "4"},
+    "include_source": {("mixup", "include_source"): "on"},
+    "only_uncertain": {("mixup", "entropy_filter"): "only_uncertain"},
+    "only_certain": {("mixup", "entropy_filter"): "only_certain"},
+    "full_saf": {},
+}
+ABLATION_VARIANTS = tuple(ABLATION)
 
 
 def file_sha256(path) -> str:
@@ -95,9 +84,7 @@ def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, base_dir=".") -> 
             "target_accuracy": final_target_accuracy(run_dir),
         }
 
-    with ThreadPoolExecutor(max_workers=max_workers(len(seeds))) as pool:
-        results = list(pool.map(one, seeds))
-
+    results = [one(seed) for seed in seeds]
     accs = [r["target_accuracy"] for r in results]
     mean, sd = aggregate(accs)
     manifest = {
@@ -110,40 +97,16 @@ def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, base_dir=".") -> 
         "runs": results,
         "aggregate": {"mean_target_accuracy": mean, "sd_target_accuracy": sd},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
 def ablation_config(base: FileConfig, variant: str) -> FileConfig:
     """The named modification applied to the base configuration."""
-    t = base.train
-
-    def with_policy(**kw) -> FileConfig:
-        return replace(base, train=replace(t, mixup=replace(t.mixup, **kw)))
-
-    if variant == "full_saf":
-        return base
-    if variant == "backbone_only":
-        return replace(base, train=replace(t, saf_enabled=False))
-    if variant == "no_bottleneck":
-        return replace(base, train=replace(t, mixup_after_bottleneck=True))
-    if variant == "beta_eta":
-        return with_policy(mode="beta")
-    if variant == "constant_eta":
-        return with_policy(mode="constant")
-    if variant == "one_bottleneck":
-        return replace(base, train=replace(t, saf_bottlenecks=1))
-    if variant == "four_bottlenecks":
-        return replace(base, train=replace(t, saf_bottlenecks=4))
-    if variant == "include_source":
-        return with_policy(include_source=True)
-    if variant == "only_uncertain":
-        return with_policy(entropy_filter="only_uncertain")
-    if variant == "only_certain":
-        return with_policy(entropy_filter="only_certain")
-    raise DataError(f"unknown ablation variant {variant!r}")
+    if variant not in ABLATION:
+        raise DataError(f"unknown ablation variant {variant!r}")
+    overrides = ABLATION[variant]
+    return build_config({**base.pairs(), **overrides}) if overrides else base
 
 
 def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir=".") -> Path:
@@ -167,5 +130,5 @@ def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir=".") -> P
         except Exception as exc:  # record and continue with the other variants
             rows.append(f"{variant},nan,nan,error: {exc}")
     table = out_dir / "ablation.csv"
-    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_atomic(table, "\n".join(rows) + "\n")
     return table

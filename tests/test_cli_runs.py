@@ -2,14 +2,16 @@
 
 import json
 import math
+import os
+from dataclasses import replace
 
 import pytest
 
 import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
-from saflab.data import DomainSpec, gen_two_moons, save_csv
-from saflab.exceptions import SafLabError
+from saflab.data import DomainSpec, gen_two_moons, save_csv, write_atomic
+from saflab.training import run_experiment
 
 
 TINY_CFG = """
@@ -65,12 +67,64 @@ class TestRunWithSeeds:
         assert set(on_disk["data_hashes"]) == {"source", "target"}
         assert (out / "config.cfg").exists()
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SAF_LAB_THREADS", "2")
-        assert runs.max_workers(8) == 2
-        monkeypatch.setenv("SAF_LAB_THREADS", "junk")
-        with pytest.raises(SafLabError):
-            runs.max_workers(8)
+    def test_seed_runs_match_single_runs(self, data_dir, tmp_path):
+        cfg = parse_config((data_dir / "tiny.cfg").read_text())
+        runs.run_with_seeds(cfg, [0, 1], tmp_path / "multi", data_dir)
+        source, target = runs.load_datasets(cfg, data_dir)
+        for k in (0, 1):
+            single = run_experiment(replace(cfg.train, seed=k), source, target,
+                                    tmp_path / f"single_{k}")
+            for name in ("model.txt", "metrics.csv"):
+                assert (tmp_path / "multi" / f"seed_{k}" / name).read_bytes() \
+                    == (single / name).read_bytes()
+
+
+class TestWholeOrNothing:
+    """model.txt, manifest.json and ablation.csv appear complete or not at all."""
+
+    @pytest.fixture
+    def failing_replace(self, monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", fail)
+
+    def test_write_atomic_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old contents that are longer\n")
+        write_atomic(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path, failing_replace):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        with pytest.raises(OSError):
+            write_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_save_params_leaves_nothing(self, tmp_path, tiny_bundle, failing_replace):
+        bundle, _ = tiny_bundle
+        with pytest.raises(OSError):
+            bundle.save_params(tmp_path / "model.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_with_seeds_leaves_no_model_or_manifest(self, data_dir, tmp_path,
+                                                        failing_replace):
+        cfg = parse_config((data_dir / "tiny.cfg").read_text())
+        out = tmp_path / "multi"
+        with pytest.raises(OSError):
+            runs.run_with_seeds(cfg, [0, 1], out, data_dir)
+        left = {p.relative_to(out).as_posix() for p in out.rglob("*")}
+        assert left == {"config.cfg", "seed_0", "seed_0/metrics.csv"}
+
+    def test_train_exits_two(self, data_dir, tmp_path, capsys, failing_replace):
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)])
+        assert code == 2
+        assert "cannot replace" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "metrics.csv"]
 
 
 class TestAblationGrid:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from saflab import Batch, ConfigError, CsvParseError, DomainSpec
 from saflab.data import (
@@ -125,6 +128,27 @@ class TestCsv:
         assert np.array_equal(loaded.labels, batch.labels)
         save_csv(loaded, tmp_path / "d2.csv")
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
+
+    # finite floats, with the edge cases of shortest-repr round-tripping
+    # always in reach: signed zeros, subnormals and the extreme exponents
+    _cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+         1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300])
+
+    @given(st.data(), st.integers(1, 40), st.integers(1, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_property(self, tmp_path_factory, data, rows, cols, labeled):
+        feats = data.draw(hnp.arrays(np.float64, (rows, cols), elements=self._cells))
+        labels = (data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
+                  if labeled else None)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_csv(Batch(feats, labels=labels), path)
+        loaded = load_csv(path, has_labels=labeled)
+        assert loaded.features.tobytes() == feats.tobytes()
+        if labeled:
+            assert loaded.labels.tolist() == labels
+        else:
+            assert loaded.labels is None
 
     def test_schema_is_explicit_not_inferred(self, tmp_path, rng):
         batch = Batch(rng.normal(size=(4, 2)), labels=[0, 1, 0, 1])

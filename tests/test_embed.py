@@ -73,6 +73,9 @@ class TestExport:
         assert lines[0] == "x,y,domain,label"
         assert len(lines) == 41
         assert proj.shape == (40, 2)
+        # every x,y reads back as a plain float equal bit for bit to the projection
+        xy = np.array([[float(c) for c in ln.split(",")[:2]] for ln in lines[1:]])
+        assert xy.tobytes() == proj.tobytes()
         svg = svg_path.read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert svg.count("<circle") == 40
