@@ -3,11 +3,18 @@
 The operation set is exactly what the adaptation networks and losses need:
 matrix product, bias add, elementwise activations, row softmax, dropout,
 batch normalization, gradient reversal, row gather/concat and a couple of
-scalar reductions.  Each operation records one backward closure on an
-explicit :class:`Tape`; :func:`backward` replays the tape in exact reverse
-order, accumulating gradients additively into every tensor that requires
-them.  Everything is double precision so finite-difference checks at
-eps = 1e-5 resolve cleanly.
+scalar reductions, plus :func:`dense`, a whole MLP layer (matrix product,
+bias, optional batch norm, activation, optional dropout) fused into one
+operation.  Each operation records one backward closure on an explicit
+:class:`Tape`; :func:`backward` replays the tape in exact reverse order,
+accumulating gradients additively into every tensor that requires them.
+:func:`dense` computes with the same array kernels as the primitive chain
+it replaces, so its values and gradients are bit-identical to that chain's.
+Everything is double precision so finite-difference checks at eps = 1e-5
+resolve cleanly.
+
+A :class:`ParamBuffer` packs parameters into one contiguous vector, so
+:func:`sgd_nesterov_step` updates all of them with a few vector operations.
 
 A Tape and its tensors belong to a single training run and must not be
 shared across concurrent runs.  Random behaviour (dropout) always takes an
@@ -64,6 +71,19 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def wrap(data: np.ndarray) -> Tensor:
+    """Tensor around ``data``, which must already be a 2-D float64 array.
+
+    Operations build their outputs this way: their results need none of
+    ``Tensor()``'s conversion and shape checks.
+    """
+    t = object.__new__(Tensor)
+    t.data = data
+    t.grad = None
+    t.requires_grad = False
+    return t
+
+
 class Tape:
     """Ordered record of executed operations.
 
@@ -91,8 +111,14 @@ def record_op(
     a tensor used several times collects the sum of its contributions.  This
     is the extension point composite losses use to define fused operations.
     """
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if tape is None or not out.requires_grad:
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
+    else:
+        out.requires_grad = False
+        return out
+    if tape is None:
         return out
 
     def node():
@@ -118,13 +144,90 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 # ---------------------------------------------------------------------------
+# array kernels, shared by the primitive operations and by :func:`dense`
+
+# batch reductions call np.add.reduce directly: ndarray.sum, mean and var
+# compute exactly this (a reduce, for mean and var then a division by the
+# count) behind a Python-level wrapper
+def _colsum(a: np.ndarray) -> np.ndarray:
+    return np.add.reduce(a, axis=0, keepdims=True)
+
+
+def _relu(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # subgradient 0 at exactly 0
+    return np.maximum(d, 0.0), d > 0.0
+
+
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    s[~pos] = e / (1.0 + e)
+    np.clip(s, _SIG_LO, _SIG_HI, out=s)
+    return s
+
+
+def _sigmoid_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return g * s * (1.0 - s)
+
+
+def _dropout_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 for dropped entries, 1/(1-rate) for kept ones."""
+    if rng is None:
+        raise StateError("training-mode dropout needs an explicit rng")
+    scale = 1.0 / (1.0 - rate)
+    return (rng.random(shape) >= rate) * scale
+
+
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
+def _bn_forward(d, gamma, beta, state, training, momentum=_BN_MOMENTUM, eps=_BN_EPS):
+    """Batch norm of ``d``; returns (output, xhat, ivar).
+
+    Training mode normalises with the batch statistics and folds them into
+    ``state``'s running statistics; eval mode normalises with those.
+    """
+    if training:
+        n = d.shape[0]
+        if n < 2:
+            raise DataError(f"batch norm needs batch size >= 2 in training mode, got {n}")
+        mu = _colsum(d) / n
+        dev = d - mu
+        var = _colsum(np.square(dev)) / n
+        state.mean = (1.0 - momentum) * state.mean + momentum * mu
+        state.var = (1.0 - momentum) * state.var + momentum * var
+    else:
+        dev = d - state.mean
+        var = state.var
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = dev * ivar
+    return xhat * gamma + beta, xhat, ivar
+
+
+def _bn_backward(g, gamma, xhat, ivar, training):
+    """Gradients of :func:`_bn_forward` with respect to (d, gamma, beta)."""
+    if training:
+        # batch statistics depend on every row, so the chain rule couples
+        # the batch: dx = ivar * (dxh - mean(dxh) - xhat * mean(dxh*xhat))
+        n = g.shape[0]
+        dxh = g * gamma
+        dx = ivar * (dxh - _colsum(dxh) / n - xhat * (_colsum(dxh * xhat) / n))
+    else:
+        dx = g * gamma * ivar
+    return dx, _colsum(g * xhat), _colsum(g)
+
+
+# ---------------------------------------------------------------------------
 # primitive operations
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = wrap(a.data @ b.data)
 
     def bwd(g):
         return g @ b.data.T, a.data.T @ g
@@ -135,7 +238,7 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = wrap(a.data + b.data)
 
     def bwd(g):
         return g, g
@@ -147,17 +250,17 @@ def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     """x[m x n] + bias[1 x n], broadcast over rows."""
     if bias.rows != 1 or bias.cols != x.cols:
         raise ShapeError(f"bias must be 1x{x.cols}, got {bias.shape}")
-    out = Tensor(x.data + bias.data)
+    out = wrap(x.data + bias.data)
 
     def bwd(g):
-        return g, g.sum(axis=0, keepdims=True)
+        return g, _colsum(g)
 
     return record_op(tape, (x, bias), out, bwd)
 
 
 def scale_shift(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """Elementwise scale * x + shift with constant coefficients."""
-    out = Tensor(scale * x.data + shift)
+    out = wrap(scale * x.data + shift)
 
     def bwd(g):
         return (scale * g,)
@@ -169,7 +272,7 @@ def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equal-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data)
+    out = wrap(a.data * b.data)
 
     def bwd(g):
         return g * b.data, g * a.data
@@ -181,7 +284,7 @@ def mul_colvec(tape: Tape | None, x: Tensor, c: Tensor) -> Tensor:
     """x[m x n] * c[m x 1], column vector broadcast across features."""
     if c.cols != 1 or c.rows != x.rows:
         raise ShapeError(f"column vector must be {x.rows}x1, got {c.shape}")
-    out = Tensor(x.data * c.data)
+    out = wrap(x.data * c.data)
 
     def bwd(g):
         return g * c.data, (g * x.data).sum(axis=1, keepdims=True)
@@ -190,9 +293,8 @@ def mul_colvec(tape: Tape | None, x: Tensor, c: Tensor) -> Tensor:
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    # subgradient 0 at exactly 0
-    gate = x.data > 0.0
+    y, gate = _relu(x.data)
+    out = wrap(y)
 
     def bwd(g):
         return (g * gate,)
@@ -201,17 +303,11 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    s[~pos] = e / (1.0 + e)
-    np.clip(s, _SIG_LO, _SIG_HI, out=s)
-    out = Tensor(s)
+    s = _sigmoid(x.data)
+    out = wrap(s)
 
     def bwd(g):
-        return (g * s * (1.0 - s),)
+        return (_sigmoid_grad(g, s),)
 
     return record_op(tape, (x,), out, bwd)
 
@@ -222,7 +318,7 @@ def softmax_rows(tape: Tape | None, x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p)
+    out = wrap(p)
 
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -248,17 +344,14 @@ def dropout(
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        out = Tensor(x.data.copy())
+        out = wrap(x.data.copy())
 
         def bwd_id(g):
             return (g,)
 
         return record_op(tape, (x,), out, bwd_id)
-    if rng is None:
-        raise StateError("training-mode dropout needs an explicit rng")
-    scale = 1.0 / (1.0 - rate)
-    keep = (rng.random(x.shape) >= rate) * scale
-    out = Tensor(x.data * keep)
+    keep = _dropout_mask(x.shape, rate, rng)
+    out = wrap(x.data * keep)
 
     def bwd(g):
         return (g * keep,)
@@ -283,55 +376,83 @@ def batch_norm(
     beta: "Parameter",
     state: BatchNormState,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
+    momentum: float = _BN_MOMENTUM,
+    eps: float = _BN_EPS,
 ) -> Tensor:
     g_t, b_t = gamma.tensor, beta.tensor
     if g_t.shape != (1, x.cols) or b_t.shape != (1, x.cols):
         raise ShapeError(f"gamma/beta must be 1x{x.cols}")
-    if training:
-        if x.rows < 2:
-            raise DataError(f"batch norm needs batch size >= 2 in training mode, got {x.rows}")
-        mu = x.data.mean(axis=0, keepdims=True)
-        var = x.data.var(axis=0, keepdims=True)
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var
-    else:
-        mu, var = state.mean, state.var
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * ivar
-    out = Tensor(xhat * g_t.data + b_t.data)
+    y, xhat, ivar = _bn_forward(x.data, g_t.data, b_t.data, state, training, momentum, eps)
+    out = wrap(y)
 
-    if training:
-
-        def bwd(g):
-            # batch statistics depend on every row, so the chain rule couples
-            # the batch: dx = ivar * (dxh - mean(dxh) - xhat * mean(dxh*xhat))
-            dxh = g * g_t.data
-            dx = ivar * (
-                dxh
-                - dxh.mean(axis=0, keepdims=True)
-                - xhat * (dxh * xhat).mean(axis=0, keepdims=True)
-            )
-            return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
-
-    else:
-
-        def bwd(g):
-            return (
-                g * g_t.data * ivar,
-                (g * xhat).sum(axis=0, keepdims=True),
-                g.sum(axis=0, keepdims=True),
-            )
+    def bwd(g):
+        return _bn_backward(g, g_t.data, xhat, ivar, training)
 
     return record_op(tape, (x, g_t, b_t), out, bwd)
+
+
+def dense(
+    tape: Tape | None,
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    activation: str = "none",
+    rate: float = 0.0,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+    bn: tuple[Tensor, Tensor, BatchNormState] | None = None,
+) -> Tensor:
+    """One MLP layer as one tape node: x @ w + b, then batch norm when
+    ``bn = (gamma, beta, state)`` is given, the activation (``relu``,
+    ``sigmoid`` or ``none``) and, for ``rate`` > 0, dropout.
+
+    Values, gradients, dropout draws and running-statistic updates are
+    bit-identical to the chain matmul -> add_bias -> batch_norm ->
+    relu/sigmoid -> dropout: the backward replays the same kernels in
+    reverse, and skips only the input gradient nobody asked for.
+    """
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {x.shape} x {w.shape}")
+    y = x.data @ w.data + b.data
+    inputs: tuple[Tensor, ...] = (x, w, b)
+    if bn is not None:
+        gamma, beta, state = bn
+        y, xhat, ivar = _bn_forward(y, gamma.data, beta.data, state, training)
+        inputs = (x, w, b, gamma, beta)
+    if activation == "relu":
+        y, gate = _relu(y)
+    elif activation == "sigmoid":
+        y = s = _sigmoid(y)
+    elif activation != "none":
+        raise ConfigError(f"unknown activation {activation!r}")
+    keep = None
+    if training and rate > 0.0:
+        keep = _dropout_mask(y.shape, rate, rng)
+        y = y * keep
+    out = wrap(y)
+
+    def bwd(g):
+        if keep is not None:
+            g = g * keep
+        if activation == "relu":
+            g = g * gate
+        elif activation == "sigmoid":
+            g = _sigmoid_grad(g, s)
+        bn_grads = ()
+        if bn is not None:
+            g, dgamma, dbeta = _bn_backward(g, gamma.data, xhat, ivar, training)
+            bn_grads = (dgamma, dbeta)
+        dx = g @ w.data.T if x.requires_grad else None
+        return (dx, x.data.T @ g, _colsum(g)) + bn_grads
+
+    return record_op(tape, inputs, out, bwd)
 
 
 def grad_reverse(tape: Tape | None, x: Tensor, lambda_d: float) -> Tensor:
     """Forward identity; backward multiplies the incoming gradient by -lambda_d."""
     if lambda_d < 0:
         raise ConfigError(f"gradient reversal coefficient must be >= 0, got {lambda_d}")
-    out = Tensor(x.data.copy())
+    out = wrap(x.data.copy())
 
     def bwd(g):
         return (-lambda_d * g,)
@@ -363,7 +484,7 @@ def take_rows(tape: Tape | None, x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise ShapeError(f"row index out of range for {x.rows} rows")
-    out = Tensor(x.data[idx])
+    out = wrap(x.data[idx])
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -376,7 +497,7 @@ def take_rows(tape: Tape | None, x: Tensor, idx) -> Tensor:
 def concat_rows(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.cols:
         raise ShapeError(f"row concat needs equal widths, got {a.shape} and {b.shape}")
-    out = Tensor(np.vstack([a.data, b.data]))
+    out = wrap(np.vstack([a.data, b.data]))
     m = a.rows
 
     def bwd(g):
@@ -406,25 +527,65 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape}, x{self.lr_multiplier:g})"
 
 
+class ParamBuffer:
+    """Parameters packed, in order, into one contiguous float64 vector.
+
+    Packing copies each parameter's values into ``data`` and its velocity
+    into ``velocity``, then rebinds ``tensor.data`` and ``velocity`` to
+    views of them, so in-place writes through either side are shared.
+    ``lr_scale`` holds every element's lr multiplier.
+    """
+
+    __slots__ = ("params", "sizes", "data", "velocity", "lr_scale")
+
+    def __init__(self, params: Iterable[Parameter]):
+        self.params = list(params)
+        self.sizes = [p.tensor.data.size for p in self.params]
+        total = sum(self.sizes)
+        self.data = np.empty(total)
+        self.velocity = np.empty(total)
+        self.lr_scale = np.repeat(np.array([p.lr_multiplier for p in self.params]), self.sizes)
+        start = 0
+        for p, size in zip(self.params, self.sizes):
+            stop = start + size
+            shape = p.tensor.data.shape
+            self.data[start:stop] = p.tensor.data.ravel()
+            self.velocity[start:stop] = p.velocity.ravel()
+            p.tensor.data = self.data[start:stop].reshape(shape)
+            p.velocity = self.velocity[start:stop].reshape(shape)
+            start = stop
+
+
 def sgd_nesterov_step(
-    params: Iterable[Parameter], base_lr: float, momentum: float
+    params: ParamBuffer | Iterable[Parameter], base_lr: float, momentum: float
 ) -> None:
     """One Nesterov step: v <- mu*v - lr*g; theta <- theta + mu*v - lr*g.
 
-    Effective lr is base_lr * lr_multiplier per parameter.  Gradients are
-    cleared afterwards.
+    The step is a handful of vector operations over a :class:`ParamBuffer`;
+    a plain iterable of parameters is packed into a new one first, which
+    takes them out of any buffer they were in.  The effective lr is
+    base_lr * lr_multiplier per element.  Parameters without a gradient
+    keep their values and velocity bit for bit; gradients are cleared
+    afterwards.
     """
     if base_lr <= 0:
         raise ConfigError(f"base_lr must be positive, got {base_lr}")
-    params = list(params)
-    for p in params:
-        if p.tensor.grad is None:
-            raise StateError(f"parameter {p.name!r} has no gradient")
-    for p in params:
+    buf = params if isinstance(params, ParamBuffer) else ParamBuffer(params)
+    flat, trained = [], []
+    for p, size in zip(buf.params, buf.sizes):
         g = p.tensor.grad
-        lr = base_lr * p.lr_multiplier
-        v = p.velocity
-        v *= momentum
-        v -= lr * g
-        p.tensor.data += momentum * v - lr * g
+        trained.append(g is not None)
+        flat.append(np.zeros(size) if g is None else g.ravel())
         p.tensor.grad = None
+    if not any(trained):
+        raise StateError("no parameter has a gradient")
+    step = base_lr * buf.lr_scale
+    step *= np.concatenate(flat)
+    v = momentum * buf.velocity
+    v -= step
+    theta = momentum * v
+    theta -= step
+    theta += buf.data
+    where = True if all(trained) else np.repeat(trained, buf.sizes)
+    np.copyto(buf.velocity, v, where=where)
+    np.copyto(buf.data, theta, where=where)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, concat_rows, log_softmax_rows, record_op, scale_shift
+from .autodiff import Tape, Tensor, add, concat_rows, log_softmax_rows, record_op, scale_shift, wrap
 from .exceptions import ConfigError, DataError, ShapeError
 
 
@@ -59,7 +59,7 @@ def cross_entropy(tape: Tape | None, logits: Tensor, labels) -> Tensor:
         raise DataError("cross entropy needs a non-empty batch")
     y = _check_labels(labels, k, m)
     ls = log_softmax_rows(logits.data)
-    out = Tensor([[-ls[np.arange(m), y].mean()]])
+    out = wrap(np.array([[-(np.add.reduce(ls[np.arange(m), y], axis=None) / m)]]))
 
     def bwd(g):
         gg = g[0, 0] / m
@@ -91,7 +91,7 @@ def cross_entropy_divergence(tape: Tape | None, logits: Tensor, soft_labels) -> 
     if worst > 1e-6:
         raise DataError(f"soft label rows must sum to 1 (worst deviation {worst:.3g})")
     ls = log_softmax_rows(logits.data)
-    out = Tensor([[-(ydata * ls).sum() / m]])
+    out = wrap(np.array([[-np.add.reduce(ydata * ls, axis=None) / m]]))
 
     def bwd(g):
         gg = g[0, 0] / m
@@ -129,7 +129,7 @@ def _complement_log_softmax_nll(tape: Tape | None, logits: Tensor, idx: np.ndarr
     s_comp = s_full[:, 0] - e_sel
     # log(1 - p_idx) = log(s_comp) - log(s_full); stable because s_comp >= 0
     vals = np.log(s_comp) - np.log(s_full[:, 0])
-    out = Tensor([[-vals.mean()]])
+    out = wrap(np.array([[-(np.add.reduce(vals, axis=None) / m)]]))
     p = e / s_full
     c = e / s_comp[:, None]
     c[rows, idx] = 0.0

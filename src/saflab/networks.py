@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Parameter, Tape, Tensor
+from .autodiff import BatchNormState, Parameter, ParamBuffer, Tape, Tensor
 from .data import write_atomic
 from .exceptions import ConfigError, DataError, ShapeError
 
@@ -73,7 +73,8 @@ def _init_weight(fan_in: int, fan_out: int, activation: str, rng: np.random.Gene
 
 
 class MLP:
-    """Stack of FC -> [batch norm] -> activation -> [dropout] layers."""
+    """Stack of FC -> [batch norm] -> activation -> [dropout] layers, each
+    recorded as one :func:`saflab.autodiff.dense` tape node."""
 
     def __init__(self, spec: MLPSpec, rng: np.random.Generator,
                  lr_multiplier: float = 1.0, name: str = "mlp"):
@@ -108,15 +109,11 @@ class MLP:
             raise ShapeError(f"{self.name} expects width {self.in_dim}, got {x.cols}")
         h = x
         for layer in self.layers:
-            h = ad.add_bias(tape, ad.matmul(tape, h, layer.w.tensor), layer.b.tensor)
+            bn = None
             if layer.bn_state is not None:
-                h = ad.batch_norm(tape, h, layer.gamma, layer.beta, layer.bn_state, training)
-            if layer.activation == "relu":
-                h = ad.relu(tape, h)
-            elif layer.activation == "sigmoid":
-                h = ad.sigmoid(tape, h)
-            if layer.dropout > 0.0:
-                h = ad.dropout(tape, h, layer.dropout, training, rng)
+                bn = (layer.gamma.tensor, layer.beta.tensor, layer.bn_state)
+            h = ad.dense(tape, h, layer.w.tensor, layer.b.tensor, layer.activation,
+                         layer.dropout, training, rng, bn)
         return h
 
     def parameters(self):
@@ -166,7 +163,11 @@ class SAFModule:
 
 
 class ModelBundle:
-    """F, B, C, D and M with all dimension seams checked at build time."""
+    """F, B, C, D and M with all dimension seams checked at build time.
+
+    ``buffer`` packs every parameter, in :meth:`parameters` order, into one
+    flat :class:`~saflab.autodiff.ParamBuffer`, which the optimizer steps.
+    """
 
     def __init__(self, F: MLP, B: MLP, C: MLP, D: MLP, M: SAFModule,
                  backbone: str, num_classes: int):
@@ -177,6 +178,7 @@ class ModelBundle:
         self.M = M
         self.backbone = backbone
         self.num_classes = num_classes
+        self.buffer = ParamBuffer(self.parameters())
 
     def parameters(self):
         yield from self.F.parameters()

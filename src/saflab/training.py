@@ -254,13 +254,21 @@ def train_step(
     t: int,
     rng: np.random.Generator,
 ) -> dict:
-    """One optimization step on :func:`objective`; returns its terms."""
+    """One optimization step on :func:`objective`; returns its terms.
+
+    Raises :class:`StateError` naming the step and the term when a loss
+    term is NaN or inf, before the parameters are updated.
+    """
     tape = Tape()
     obj = objective(bundle, src, tgt, config, t, tape=tape, training=True, rng=rng)
+    terms = obj.terms()
+    for name in ("eps_c", "eps_d", "eps_m"):
+        if not math.isfinite(terms[name]):
+            raise StateError(f"train step {t}: non-finite {name} ({terms[name]}); "
+                             "the model has diverged")
     ad.backward(obj.total, tape)
-    trained = [p for p in bundle.parameters() if p.tensor.grad is not None]
-    ad.sgd_nesterov_step(trained, config.base_lr, config.momentum)
-    return obj.terms()
+    ad.sgd_nesterov_step(bundle.buffer, config.base_lr, config.momentum)
+    return terms
 
 
 def evaluate(

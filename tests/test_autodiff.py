@@ -286,6 +286,124 @@ class TestBatchNorm:
         b.tensor.data[:] = orig_b
 
 
+LAYER_KINDS = {
+    # activation, dropout rate, batch norm: the layers build_bundle builds
+    "relu": ("relu", 0.0, False),
+    "relu_dropout": ("relu", 0.3, False),
+    "relu_bn_dropout": ("relu", 0.3, True),
+    "none": ("none", 0.0, False),
+    "sigmoid": ("sigmoid", 0.0, False),
+}
+
+
+class TestDense:
+    """The fused layer node against the primitive chain it replaces."""
+
+    @staticmethod
+    def _layer(kind, seed=3, width_in=4, width=5):
+        act, rate, bn = LAYER_KINDS[kind]
+        r = np.random.default_rng(seed)
+        w = Parameter(r.uniform(-1, 1, (width_in, width)), name="w")
+        b = Parameter(r.normal(size=(1, width)), name="b")
+        norm = None
+        if bn:
+            state = BatchNormState(width)
+            state.mean = r.normal(size=(1, width))
+            state.var = r.uniform(0.5, 2.0, (1, width))
+            norm = (Parameter(r.uniform(0.5, 1.5, (1, width)), name="gamma"),
+                    Parameter(r.normal(size=(1, width)), name="beta"), state)
+        return w, b, act, rate, norm
+
+    @staticmethod
+    def _chain(tape, x, layer, training, rng):
+        w, b, act, rate, norm = layer
+        h = ad.add_bias(tape, ad.matmul(tape, x, w.tensor), b.tensor)
+        if norm is not None:
+            h = ad.batch_norm(tape, h, norm[0], norm[1], norm[2], training)
+        if act == "relu":
+            h = ad.relu(tape, h)
+        elif act == "sigmoid":
+            h = ad.sigmoid(tape, h)
+        if rate > 0.0:
+            h = ad.dropout(tape, h, rate, training, rng)
+        return h
+
+    @staticmethod
+    def _fused(tape, x, layer, training, rng):
+        w, b, act, rate, norm = layer
+        bn = None if norm is None else (norm[0].tensor, norm[1].tensor, norm[2])
+        return ad.dense(tape, x, w.tensor, b.tensor, act, rate, training, rng, bn)
+
+    def _run(self, forward, kind, training):
+        """x feeds two calls of one layer, so both x and every parameter
+        accumulate two gradient contributions."""
+        layer = self._layer(kind)
+        data = np.random.default_rng(11).normal(size=(6, 4))
+        upstream = np.random.default_rng(12).normal(size=(2, 6, 5))
+        rng = np.random.default_rng(13)
+        x = t(data)
+        tape = Tape()
+        outs = [forward(tape, x, layer, training, rng) for _ in range(2)]
+        loss = ad.add(tape, *[ad.sum_all(tape, ad.mul(tape, o, t(u, grad=False)))
+                              for o, u in zip(outs, upstream)])
+        backward(loss, tape)
+        w, b, _, _, norm = layer
+        params = [w, b] + ([] if norm is None else [norm[0], norm[1]])
+        arrays = [o.data for o in outs] + [x.grad] + [p.tensor.grad for p in params]
+        if norm is not None:
+            arrays += [norm[2].mean, norm[2].var]
+        return [a.tobytes() for a in arrays], rng.bit_generator.state
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_bit_identical_to_primitive_chain(self, kind, training):
+        assert self._run(self._fused, kind, training) == self._run(self._chain, kind, training)
+
+    def test_one_node_per_layer_call(self):
+        x = t(np.ones((3, 4)))
+        tape = Tape()
+        self._fused(tape, x, self._layer("relu_bn_dropout"), True, np.random.default_rng(0))
+        assert len(tape.nodes) == 1
+
+    def test_input_without_grad_gets_none(self):
+        x = t(np.ones((3, 4)), grad=False)
+        tape = Tape()
+        w, b, act, rate, _ = layer = self._layer("relu")
+        backward(ad.sum_all(tape, self._fused(tape, x, layer, True, None)), tape)
+        assert x.grad is None and w.tensor.grad is not None and b.tensor.grad is not None
+
+    def test_fd_training_mode(self, rng):
+        # sigmoid keeps the loss smooth; batch norm couples the rows; the
+        # dropout mask is redrawn from the same seed for every evaluation
+        w, b, _, rate, norm = self._layer("relu_bn_dropout")
+        layer = (w, b, "sigmoid", rate, norm)
+        data = rng.normal(size=(6, 4))
+        weights = rng.normal(size=(6, 5))
+
+        def loss_of(tape, x):
+            out = self._fused(tape, x, layer, True, np.random.default_rng(5))
+            return ad.sum_all(tape, ad.mul(tape, out, t(weights, grad=False)))
+
+        x = t(data)
+        tape = Tape()
+        backward(loss_of(tape, x), tape)
+        assert_grad_close(x.grad, fd_grad(lambda v: loss_of(None, Tensor(v)).item(), data))
+        for p in (w, b, norm[0], norm[1]):
+            orig = p.tensor.data.copy()
+
+            def f(v, p=p):
+                p.tensor.data[:] = v
+                return loss_of(None, t(data, grad=False)).item()
+
+            assert_grad_close(p.tensor.grad, fd_grad(f, orig))
+            p.tensor.data[:] = orig
+
+    def test_shape_mismatch(self):
+        w, b, act, rate, _ = self._layer("relu")
+        with pytest.raises(ShapeError):
+            ad.dense(None, t(np.ones((2, 3))), w.tensor, b.tensor, act)
+
+
 class TestGradReverse:
     def test_forward_bitwise_identity(self, rng):
         x = t(rng.normal(size=(4, 4)))
@@ -402,6 +520,19 @@ class TestOptimizer:
         p.tensor.grad = np.array([[1.0]])
         ad.sgd_nesterov_step([p], base_lr=0.01, momentum=0.0)
         np.testing.assert_allclose(p.tensor.data, [[-0.1]], atol=1e-15)
+
+    def test_buffer_skips_parameters_without_gradient(self):
+        p = Parameter(np.array([[1.0, 2.0]]), name="p")
+        q = Parameter(np.array([[3.0]]), lr_multiplier=10.0, name="q")
+        buf = ad.ParamBuffer([p, q])
+        assert np.shares_memory(p.tensor.data, buf.data)
+        q.velocity[:] = 0.5
+        p.tensor.grad = np.array([[0.5, -1.0]])
+        ad.sgd_nesterov_step(buf, base_lr=0.1, momentum=0.9)
+        np.testing.assert_allclose(p.tensor.data, [[0.905, 2.19]], atol=1e-15)
+        assert q.tensor.data.tobytes() == np.array([[3.0]]).tobytes()
+        assert q.velocity.tobytes() == np.array([[0.5]]).tobytes()
+        assert p.tensor.grad is None
 
     def test_missing_gradient_raises(self):
         p = Parameter(np.array([[0.0]]), name="p")

@@ -290,13 +290,14 @@ class TestCli:
                        + "base_lr = 5\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "evaluation at iteration 4: non-finite" in capsys.readouterr().err
+        # eps_d is inf at step t = 2; the step raises before the next evaluation
+        assert "train step 2: non-finite eps_d (inf)" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.txt").exists()
         assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                      "--out", str(tmp_path / "abl")]) == 0
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
         assert len(rows) == len(runs.ABLATION_VARIANTS)
-        assert all(",nan,nan,error: evaluation at iteration " in r and "non-finite" in r
+        assert all(",nan,nan,error: train step 2: non-finite eps_d (inf)" in r
                    for r in rows), rows
 
     @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -1,4 +1,7 @@
-"""Block construction, seam checks, forward pipelines and parameter files."""
+"""Block construction, seam checks, forward pipelines, the flat parameter
+buffer and parameter files."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +10,17 @@ import saflab.autodiff as ad
 import saflab.networks as nets
 from saflab import (
     ConfigError,
+    DomainSpec,
+    MixupPolicy,
     ShapeError,
     Tape,
     Tensor,
     backward,
     build_bundle,
+    gen_two_moons,
+    train_step,
 )
-from saflab.data import Batch
+from saflab.data import TARGET_TAG, Batch
 
 from conftest import tiny_config
 from helpers import assert_grad_close, fd_grad
@@ -288,3 +295,91 @@ class TestParameterFile:
         other = build_bundle(tiny_config(bottleneck_dim=4), np.random.default_rng(6))
         with pytest.raises(Exception):
             other.load_params(path)
+
+
+def _moons(n=16):
+    src = gen_two_moons(DomainSpec(n_samples=n, seed=0))
+    tgt = gen_two_moons(DomainSpec(n_samples=n, seed=0, rotation_deg=35.0), TARGET_TAG)
+    return src, tgt.without_labels()
+
+
+def _state(block):
+    """Bytes of every parameter's values and velocity."""
+    return [(p.tensor.data.tobytes(), p.velocity.tobytes()) for p in block.parameters()]
+
+
+class TestParamBuffer:
+    def test_every_parameter_is_a_view_in_order(self):
+        bundle = build_bundle(tiny_config(backbone="mdd"), np.random.default_rng(0))
+        buf = bundle.buffer
+        params = list(bundle.parameters())
+        assert buf.params == params
+        total = sum(p.tensor.data.size for p in params)
+        assert buf.data.shape == buf.velocity.shape == buf.lr_scale.shape == (total,)
+        buf.data[:] = np.arange(total)
+        buf.velocity[:] = -np.arange(total)
+        start = 0
+        for p in params:
+            stop = start + p.tensor.data.size
+            assert np.shares_memory(p.tensor.data, buf.data), p.name
+            assert np.shares_memory(p.velocity, buf.velocity), p.name
+            assert np.array_equal(p.tensor.data.ravel(), np.arange(start, stop)), p.name
+            assert np.array_equal(p.velocity.ravel(), -np.arange(start, stop)), p.name
+            assert np.all(buf.lr_scale[start:stop] == p.lr_multiplier), p.name
+            start = stop
+
+    def test_load_params_writes_through_the_views(self, tmp_path):
+        cfg = tiny_config()
+        saved = build_bundle(cfg, np.random.default_rng(6))
+        saved.save_params(tmp_path / "model.txt")
+        other = build_bundle(cfg, np.random.default_rng(7))
+        flat = other.buffer.data
+        other.load_params(tmp_path / "model.txt")
+        assert other.buffer.data is flat
+        assert flat.tobytes() == saved.buffer.data.tobytes()
+        assert all(np.shares_memory(p.tensor.data, flat) for p in other.parameters())
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        cfg = tiny_config(backbone="mdd")
+        bundle = build_bundle(cfg, np.random.default_rng(6))
+        src, tgt = _moons()
+        step_rng = np.random.default_rng(1)
+        for t in range(3):
+            train_step(bundle, src, tgt, cfg, t, step_rng)
+        bundle.save_params(tmp_path / "a.txt")
+        other = build_bundle(cfg, np.random.default_rng(7))
+        other.load_params(tmp_path / "a.txt")
+        other.save_params(tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_adversary_keeps_its_bytes_at_step_zero(self):
+        # lambda_d(0) = 0 keeps the adversary out of the graph, so D gets no
+        # gradient: a step must leave its values and its velocity alone
+        cfg = tiny_config(backbone="mdd")
+        bundle = build_bundle(cfg, np.random.default_rng(0))
+        src, tgt = _moons()
+        step_rng = np.random.default_rng(1)
+        for t in (1, 2):
+            train_step(bundle, src, tgt, cfg, t, step_rng)
+        assert any(np.abs(p.velocity).max() > 0 for p in bundle.D.parameters())
+        d_before, f_before = _state(bundle.D), _state(bundle.F)
+        assert train_step(bundle, src, tgt, cfg, 0, step_rng)["lambda_d"] == 0.0
+        assert _state(bundle.D) == d_before
+        assert _state(bundle.F) != f_before
+
+    def test_weight_module_keeps_its_bytes_without_mixed_rows(self):
+        # an only_certain filter at threshold 0.01 keeps fewer than 2 rows of
+        # a barely trained model, so M gets no gradient in that step
+        cfg = tiny_config(backbone="mdd")
+        strict = replace(cfg, mixup=MixupPolicy(entropy_filter="only_certain",
+                                                entropy_threshold=0.01))
+        bundle = build_bundle(cfg, np.random.default_rng(0))
+        src, tgt = _moons()
+        step_rng = np.random.default_rng(1)
+        for t in (1, 2):
+            train_step(bundle, src, tgt, cfg, t, step_rng)
+        assert any(np.abs(p.velocity).max() > 0 for p in bundle.M.parameters())
+        m_before, f_before = _state(bundle.M), _state(bundle.F)
+        assert train_step(bundle, src, tgt, strict, 3, step_rng)["eps_m"] == 0.0
+        assert _state(bundle.M) == m_before
+        assert _state(bundle.F) != f_before
