@@ -127,11 +127,13 @@ def _complement_log_softmax_nll(tape: Tape | None, logits: Tensor, idx: np.ndarr
     # complement sum: drop the selected column before the log
     e_sel = e[rows, idx]
     s_comp = s_full[:, 0] - e_sel
-    # log(1 - p_idx) = log(s_comp) - log(s_full); stable because s_comp >= 0
-    vals = np.log(s_comp) - np.log(s_full[:, 0])
+    # log(1 - p_idx) = log(s_comp) - log(s_full); stable because s_comp >= 0.
+    # An underflowed s_comp gives inf, which train_step reports as divergence
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(s_comp) - np.log(s_full[:, 0])
+        c = e / s_comp[:, None]
     out = wrap(np.array([[-(np.add.reduce(vals, axis=None) / m)]]))
     p = e / s_full
-    c = e / s_comp[:, None]
     c[rows, idx] = 0.0
 
     def bwd(g):
@@ -276,8 +278,11 @@ def empirical_h_divergence(
 
     Exhaustive enumeration over the hypothesis set.  The default set is
     :func:`axis_stump_grid` over both samples, scored by counting rather than
-    by calling each stump, with bit-identical results.  Close to 0 for
-    indistinguishable sets, 2 for perfectly separable ones.
+    by calling each stump, with bit-identical results: each column is sorted
+    once and the rows above a threshold are found by binary search.  A NaN
+    coordinate is never above a threshold, and a NaN threshold has no row
+    above it.  Close to 0 for indistinguishable sets, 2 for perfectly
+    separable ones.
     """
     s = _as_points(samples_src)
     t = _as_points(samples_tgt)
@@ -294,6 +299,31 @@ def empirical_h_divergence(
     return 2.0 * (1.0 - best)
 
 
+def _stump_thresholds(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """``np.column_stack([np.linspace(l, h, num) for l, h in zip(lo, hi)])``
+    in one expression.  Each column takes scalar linspace's own branch: a
+    zero step (denormal range) switches only that column to ``y / (num - 1)
+    * delta``, where linspace over arrays would switch every column."""
+    y = np.arange(num, dtype=np.float64)[:, None]
+    delta = hi - lo
+    if num == 1:
+        return y * delta + lo
+    step = delta / (num - 1)
+    thr = np.where(step == 0, y / (num - 1) * delta, y * step) + lo
+    thr[-1] = hi
+    return thr
+
+
+def _rows_above(points: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Axis x threshold counts of the rows with x > threshold: the non-NaN
+    rows minus those <= it in the sorted column (NaN sorts last).  A NaN
+    threshold counts no row, as ``x > nan`` does."""
+    cols = np.sort(np.ascontiguousarray(points.T), axis=1)
+    n_valid = cols.shape[1] - np.isnan(cols).sum(axis=1)
+    at_most = np.array([col.searchsorted(row, "right") for col, row in zip(cols, thr.T)])
+    return np.where(np.isnan(thr.T), 0, n_valid[:, None] - at_most)
+
+
 def _stump_grid_h_divergence(s: np.ndarray, t: np.ndarray, points_per_axis: int) -> float:
     """The default stump enumeration as counts: a stump sends the rows with
     x > threshold to one label and every other row, NaN included, to the
@@ -301,15 +331,9 @@ def _stump_grid_h_divergence(s: np.ndarray, t: np.ndarray, points_per_axis: int)
     both = np.vstack([s, t])
     if points_per_axis < 1 or both.shape[1] == 0:
         raise ConfigError("hypothesis set must be non-empty")
-    # one scalar linspace per axis: linspace over arrays moves every column
-    # to its denormal-step arithmetic once any column is constant, which
-    # shifts the other columns' thresholds by an ulp
-    thr = np.column_stack([np.linspace(lo, hi, points_per_axis)
-                           for lo, hi in zip(both.min(axis=0), both.max(axis=0))])
+    thr = _stump_thresholds(both.min(axis=0), both.max(axis=0), points_per_axis)
     n_s, n_t = s.shape[0], t.shape[0]
-    # grid x axis x row masks, counted along the contiguous row axis
-    above_s = (np.ascontiguousarray(s.T) > thr[:, :, None]).sum(axis=2)
-    above_t = (np.ascontiguousarray(t.T) > thr[:, :, None]).sum(axis=2)
+    above_s, above_t = _rows_above(s, thr), _rows_above(t, thr)
     # count / n is exactly the mean of the stump's boolean mask
     above_is_target = (n_s - above_s) / n_s + above_t / n_t
     above_is_source = above_s / n_s + (n_t - above_t) / n_t

@@ -205,15 +205,24 @@ class ModelBundle:
     def load_params(self, path) -> None:
         with open(path, "r", encoding="utf-8") as f:
             records = {}
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(" ")
-                name, rows, cols = parts[0], int(parts[1]), int(parts[2])
-                vals = np.array([float(v) for v in parts[3:]], dtype=np.float64)
-                if vals.size != rows * cols:
-                    raise DataError(f"record {name!r} has {vals.size} values for shape "
+                where = f"{path}, line {lineno}"
+                if len(parts) < 3:
+                    raise DataError(f"{where}: a record needs a name, rows and cols")
+                name = parts[0]
+                try:
+                    what = "shape"
+                    rows, cols = int(parts[1]), int(parts[2])
+                    what = "value"
+                    vals = np.array([float(v) for v in parts[3:]])
+                except ValueError as exc:
+                    raise DataError(f"{where}: bad {what} in record {name!r}: {exc}") from None
+                if min(rows, cols) < 0 or vals.size != rows * cols:
+                    raise DataError(f"{where}: record {name!r} has {vals.size} values for shape "
                                     f"{rows}x{cols}")
                 records[name] = vals.reshape(rows, cols)
         own = dict(self.named_arrays())

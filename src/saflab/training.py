@@ -216,7 +216,9 @@ def objective(
     if config.backbone == "dann":
         eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
     else:
-        c_src = Tensor(pseudo_label_probs(bundle, feats_src.data))
+        # in eval mode logits_src already is the pseudo-label pass
+        c_src = Tensor(pseudo_label_probs(bundle, feats_src.data) if training
+                       else ad.softmax_rows(None, logits_src).data)
         eps_d = mdd_adversarial_loss(adv_tape, c_src, d_src, Tensor(probs_tgt), d_tgt,
                                      config.margin_params())
     if lam_d > 0.0:

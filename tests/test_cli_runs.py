@@ -242,6 +242,26 @@ class TestCli:
         assert (out / "embeddings.csv").exists()
         assert (out / "embeddings.svg").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    @pytest.mark.parametrize("record, reason", [
+        ("F.0.w 2 5 abc", "bad value in record 'F.0.w'"),
+        ("F.0.w 2.5 5 0", "bad shape in record 'F.0.w'"),
+        ("F.0.w 2", "a record needs a name, rows and cols"),
+    ])
+    def test_malformed_model_file_exits_two(self, data_dir, tmp_path, capsys, command,
+                                            record, reason):
+        model = tmp_path / "model.txt"
+        model.write_text("\n" + record + "\n", encoding="utf-8")
+        argv = [command, "--config", str(data_dir / "tiny.cfg"), "--model", str(model),
+                "--source", str(data_dir / "source.csv"),
+                "--target", str(data_dir / "target.csv")]
+        if command == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"saflab: error: {model}, line 2: {reason}"), err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--kind", "fractal", "--out", "x"])
@@ -283,6 +303,7 @@ class TestCli:
         assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
                                                               capsys):
         cfg = data_dir / "diverge.cfg"

@@ -394,6 +394,34 @@ class TestHDivergence:
             fast = L.empirical_h_divergence(s, t_pts, points_per_axis=points)
         assert repr(fast) == repr(L.empirical_h_divergence(s, t_pts, stumps))
 
+    @given(st.data(), st.integers(1, 6), st.integers(1, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_grid_is_per_column_linspace(self, data, cols, points):
+        # zero steps (equal or adjacent ends), subnormal ranges, +-inf and
+        # NaN ends each take a different branch of scalar linspace
+        ends = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-306, 1e-306),
+                         st.floats(allow_nan=False),
+                         st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]))
+        lo = np.array(data.draw(st.lists(ends, min_size=cols, max_size=cols)))
+        hi = np.array([data.draw(st.one_of(st.just(v), st.just(np.nextafter(v, np.inf)), ends))
+                       for v in lo])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.column_stack([np.linspace(a, b, points) for a, b in zip(lo, hi)])
+            got = L._stump_thresholds(lo, hi, points)
+        assert got.tobytes() == want.tobytes()
+
+    def test_evaluate_shaped_features_match_the_loop(self):
+        # 400 x 32 ReLU outputs, half of them exact zeros, as evaluate
+        # passes them; one target row holds NaN on every other axis
+        rng = np.random.default_rng(5)
+        s = np.maximum(rng.normal(size=(400, 32)), 0.0)
+        t_pts = np.maximum(rng.normal(loc=0.3, size=(400, 32)), 0.0)
+        t_pts[17, ::2] = np.nan
+        stumps = L.axis_stump_grid(np.vstack([s, t_pts]), 64)
+        fast = L.empirical_h_divergence(s, t_pts)
+        assert fast > 0.0
+        assert repr(fast) == repr(L.empirical_h_divergence(s, t_pts, stumps))
+
     def test_constant_column_leaves_other_thresholds_in_place(self):
         # on [-3.0, 0.2] with 39 points, threshold 19 is -1.4000000000000001;
         # linspace over both columns at once would put it at -1.4 because

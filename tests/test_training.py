@@ -210,6 +210,28 @@ class TestEvaluate:
         assert not math.isnan(rec.mdd_est)
 
 
+    def test_mdd_pseudo_label_pass_only_in_training(self, monkeypatch):
+        # evaluate takes the source pseudo-labels from its own eval-mode
+        # source logits; a training step needs its own eval-mode pass
+        cfg = tiny_config(backbone="mdd")
+        src, tgt = moon_pair(20)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        calls = []
+        real = tr.pseudo_label_probs
+
+        def count(*args, **kw):
+            calls.append(args[1].shape)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tr, "pseudo_label_probs", count)
+        evaluate(bundle, src, tgt, cfg)
+        assert calls == []
+        rng = np.random.default_rng(3)
+        for t in range(3):
+            train_step(bundle, src, tgt.without_labels(), cfg, t, rng)
+        assert len(calls) == 3
+
+
 class TestRunExperiment:
     def test_eval_cadence_rows(self, tmp_path):
         cfg = tiny_config(total_iterations=10, eval_every=5)
