@@ -37,6 +37,9 @@ class DomainSpec:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.n_samples < 2:
             raise ConfigError(f"need at least 2 samples, got {self.n_samples}")
+        for name in ("noise_sd", "rotation_deg", "translation", "scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sd < 0:
             raise ConfigError(f"noise sd must be >= 0, got {self.noise_sd}")
         if self.scale <= 0:

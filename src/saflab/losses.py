@@ -127,11 +127,21 @@ def _complement_log_softmax_nll(tape: Tape | None, logits: Tensor, idx: np.ndarr
     # complement sum: drop the selected column before the log
     e_sel = e[rows, idx]
     s_comp = s_full[:, 0] - e_sel
-    # log(1 - p_idx) = log(s_comp) - log(s_full); stable because s_comp >= 0.
-    # An underflowed s_comp gives inf, which train_step reports as divergence
+    # log(1 - p_idx) = log(s_comp) - log(s_full); s_comp cancels as p_idx nears
+    # 1, so rows with s_comp < 1e-11 * s_full (logit gap above ~25, beyond any
+    # acceptance run) take log(s_comp) and their c row from the other columns
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(s_comp) - np.log(s_full[:, 0])
         c = e / s_comp[:, None]
+        far = np.flatnonzero(s_comp < 1e-11 * s_full[:, 0])
+        if far.size:
+            rest = x[far]  # a copy
+            rest[np.arange(far.size), idx[far]] = -np.inf
+            rest_max = rest.max(axis=1, keepdims=True)
+            e_rest = np.exp(rest - rest_max)
+            s_rest = e_rest.sum(axis=1, keepdims=True)
+            c[far] = e_rest / s_rest
+            vals[far] = ((rest_max + np.log(s_rest)) - (full_max[far] + np.log(s_full[far])))[:, 0]
     out = wrap(np.array([[-(np.add.reduce(vals, axis=None) / m)]]))
     p = e / s_full
     c[rows, idx] = 0.0
@@ -314,11 +324,10 @@ def _stump_thresholds(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     return thr
 
 
-def _rows_above(points: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """Axis x threshold counts of the rows with x > threshold: the non-NaN
-    rows minus those <= it in the sorted column (NaN sorts last).  A NaN
-    threshold counts no row, as ``x > nan`` does."""
-    cols = np.sort(np.ascontiguousarray(points.T), axis=1)
+def _rows_above(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Axis x threshold counts of the rows with x > threshold, from one
+    domain's columns sorted ascending (NaN last): the non-NaN rows minus
+    those <= it.  A NaN threshold counts no row, as ``x > nan`` does."""
     n_valid = cols.shape[1] - np.isnan(cols).sum(axis=1)
     at_most = np.array([col.searchsorted(row, "right") for col, row in zip(cols, thr.T)])
     return np.where(np.isnan(thr.T), 0, n_valid[:, None] - at_most)
@@ -328,12 +337,18 @@ def _stump_grid_h_divergence(s: np.ndarray, t: np.ndarray, points_per_axis: int)
     """The default stump enumeration as counts: a stump sends the rows with
     x > threshold to one label and every other row, NaN included, to the
     other, so each score is a sum of two count fractions."""
-    both = np.vstack([s, t])
-    if points_per_axis < 1 or both.shape[1] == 0:
+    if s.shape[1] != t.shape[1]:
+        raise ShapeError(f"domains have widths {s.shape[1]} and {t.shape[1]}")
+    if points_per_axis < 1 or s.shape[1] == 0:
         raise ConfigError("hypothesis set must be non-empty")
-    thr = _stump_thresholds(both.min(axis=0), both.max(axis=0), points_per_axis)
+    cols_s, cols_t = (np.sort(np.ascontiguousarray(p.T), axis=1) for p in (s, t))
+    # each axis's range over both domains.  NaN sorts last, so a NaN makes
+    # hi, and with it every threshold of its axis, NaN, as max() does; no
+    # count sees the sign of a zero end
+    lo = np.minimum(cols_s[:, 0], cols_t[:, 0])
+    thr = _stump_thresholds(lo, np.maximum(cols_s[:, -1], cols_t[:, -1]), points_per_axis)
     n_s, n_t = s.shape[0], t.shape[0]
-    above_s, above_t = _rows_above(s, thr), _rows_above(t, thr)
+    above_s, above_t = _rows_above(cols_s, thr), _rows_above(cols_t, thr)
     # count / n is exactly the mean of the stump's boolean mask
     above_is_target = (n_s - above_s) / n_s + above_t / n_t
     above_is_source = above_s / n_s + (n_t - above_t) / n_t

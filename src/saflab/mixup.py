@@ -90,19 +90,22 @@ class MixedBatch:
         )
 
 
-def random_draw_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """A uniformly random perfect matching of 0..n-1, drawn without replacement.
-
-    An odd leftover index is paired with itself (it contributes an ordinary
-    self-training row downstream).
-    """
+def draw_pair_positions(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random perfect matching of 0..n-1 as the arrays of first
+    and second members: (order[0], order[1]), (order[2], order[3]), ... of one
+    ``rng.permutation(n)``.  An odd leftover index is paired with itself (it
+    contributes an ordinary self-training row downstream)."""
     if n < 1:
         raise DataError(f"cannot pair an empty pool (n={n})")
     order = rng.permutation(n)
-    pairs = [(int(order[i]), int(order[i + 1])) for i in range(0, n - 1, 2)]
-    if n % 2 == 1:
-        pairs.append((int(order[-1]), int(order[-1])))
-    return pairs
+    second = order[1::2] if n % 2 == 0 else np.append(order[1::2], order[-1])
+    return order[0::2], second
+
+
+def random_draw_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """:func:`draw_pair_positions` as a list of ``(first, second)`` tuples."""
+    first, second = draw_pair_positions(n, rng)
+    return list(zip(first.tolist(), second.tolist()))
 
 
 def pseudo_label_probs(bundle: ModelBundle, features: np.ndarray,
@@ -178,13 +181,12 @@ def saf_mixup_batch(
     if n == 0:
         return MixedBatch.empty(width, k)
 
-    pairs = random_draw_pairs(n, rng)
-    a_pos = np.array([a for a, _ in pairs], dtype=np.intp)
-    b_pos = np.array([b for _, b in pairs], dtype=np.intp)
-    phi1 = ad.take_rows(tape, pool, pool_ids[a_pos])
-    phi2 = ad.take_rows(tape, pool, pool_ids[b_pos])
+    a_pos, b_pos = draw_pair_positions(n, rng)
+    ids_a, ids_b = pool_ids[a_pos], pool_ids[b_pos]
+    phi1 = ad.take_rows(tape, pool, ids_a)
+    phi2 = ad.take_rows(tape, pool, ids_b)
 
-    p = len(pairs)
+    p = a_pos.size
     if policy.mode == "saf":
         eta = saf_weight(tape, bundle.M, phi1, phi2)
     elif policy.mode == "beta":
@@ -199,7 +201,7 @@ def saf_mixup_batch(
     y2 = Tensor(pool_probs[b_pos])
     soft = ad.add(tape, ad.mul_colvec(tape, y1, eta), ad.mul_colvec(tape, y2, one_minus))
 
-    pair_indices = [(int(pool_ids[a]), int(pool_ids[b])) for a, b in pairs]
+    pair_indices = list(zip(ids_a.tolist(), ids_b.tolist()))
     return MixedBatch(mixed, soft, eta.data.ravel().copy(), pair_indices)
 
 

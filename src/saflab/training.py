@@ -137,8 +137,8 @@ def lambda_m_schedule(t: int, total: int, max_value: float = 0.1) -> float:
 @dataclass
 class Objective:
     """One evaluation of the joint objective: its terms plus the activations
-    the evaluation diagnostics read.  ``logits_tgt`` holds the eval-mode
-    target logits; a dann training step does not compute them."""
+    the evaluation diagnostics read, among them the eval-mode target logits and
+    softmax (not in a dann training step) and mdd's eval-mode source softmax."""
 
     total: Tensor
     eps_c: Tensor
@@ -152,6 +152,8 @@ class Objective:
     logits_tgt: Tensor | None
     d_src: Tensor
     d_tgt: Tensor
+    probs_src: np.ndarray | None
+    probs_tgt: np.ndarray | None
 
     def terms(self) -> dict:
         return {"eps_c": self.eps_c.item(), "eps_d": self.eps_d.item(),
@@ -183,13 +185,16 @@ def objective(
 
     F has no dropout and no batch norm, so its output is the same in either
     mode: the eval-mode pseudo-label and adversary passes reuse the features
-    computed here.  Every training-mode pass through B updates B's running
-    statistics, in a fixed order: an mdd+saf step makes 4 such passes --
-    source classify, source adversary, target adversary, then the mixed
-    rows (with ``after_bottleneck`` the mixing inputs, target then source,
-    pass through B instead of the mixed rows).  B normalises each domain's
-    batch on its own, unlike the reference code of DANN and MDD, which passes
-    one concatenated source+target batch; changing that changes the numerics.
+    computed here.  Eval-mode B is a pure function and the gradient reversal
+    an identity forward, so there each domain passes through B once, and C, D
+    and the ``after_bottleneck`` mixup reuse that output.  Every training-mode
+    pass through B updates B's running statistics, in a fixed order: an
+    mdd+saf step makes 4 such passes -- source classify, source adversary,
+    target adversary, then the mixed rows (with ``after_bottleneck`` the
+    mixing inputs, target then source, pass through B instead of the mixed
+    rows).  B normalises each domain's batch on its own, unlike the
+    reference code of DANN and MDD, which passes one concatenated
+    source+target batch; changing that changes the numerics.
     """
     if src.labels is None:
         raise DataError("source batches must carry labels")
@@ -197,30 +202,33 @@ def objective(
     lam_m = lambda_m_schedule(t, config.total_iterations, config.lambda_m_max)
 
     feats_src = forward_features(tape, bundle, src, training, rng)
-    logits_src = classify(tape, bundle, feats_src, training, rng)
+    feats_tgt = forward_features(tape, bundle, tgt, training, rng)
+    adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
+    h_src = h_tgt = logits_tgt = probs_src = None
+    if training:
+        logits_src = classify(tape, bundle, feats_src, training, rng)
+        d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
+        d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
+        if config.backbone == "mdd":  # eval mode, after the adversary's B passes
+            logits_tgt = classify(None, bundle, feats_tgt)
+    else:
+        h_src, h_tgt = bundle.B.forward(None, feats_src), bundle.B.forward(None, feats_tgt)
+        logits_src, logits_tgt = bundle.C.forward(None, h_src), bundle.C.forward(None, h_tgt)
+        d_src, d_tgt = bundle.D.forward(None, h_src), bundle.D.forward(None, h_tgt)
     eps_c = cross_entropy(tape, logits_src, src.labels)
     total = eps_c
-    feats_tgt = forward_features(tape, bundle, tgt, training, rng)
-
-    adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
-    d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
-    d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
-    # eval-mode target logits, after the adversary's B passes: MDD's target
-    # pseudo-labels and evaluate's target metrics.  No training-mode B pass
-    # runs between them and the mixup unless its inputs go through B, so
-    # otherwise their probabilities are the mixup pseudo-labels as well.
-    logits_tgt = probs_tgt = None
-    if config.backbone == "mdd" or not training:
-        logits_tgt = classify(None, bundle, feats_tgt)
-        probs_tgt = ad.softmax_rows(None, logits_tgt).data
+    # eval-mode target probabilities: MDD's target pseudo-labels and evaluate's
+    # target metrics.  No training-mode B pass runs between them and the mixup
+    # unless its inputs go through B, so otherwise they are its pseudo-labels.
+    probs_tgt = None if logits_tgt is None else ad.softmax_rows(None, logits_tgt).data
     if config.backbone == "dann":
         eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
     else:
         # in eval mode logits_src already is the pseudo-label pass
-        c_src = Tensor(pseudo_label_probs(bundle, feats_src.data) if training
-                       else ad.softmax_rows(None, logits_src).data)
-        eps_d = mdd_adversarial_loss(adv_tape, c_src, d_src, Tensor(probs_tgt), d_tgt,
-                                     config.margin_params())
+        probs_src = (pseudo_label_probs(bundle, feats_src.data) if training
+                     else ad.softmax_rows(None, logits_src).data)
+        eps_d = mdd_adversarial_loss(adv_tape, Tensor(probs_src), d_src, Tensor(probs_tgt),
+                                     d_tgt, config.margin_params())
     if lam_d > 0.0:
         total = ad.add(tape, total, eps_d)
 
@@ -228,15 +236,17 @@ def objective(
     if config.saf_enabled:
         after = config.mixup_after_bottleneck
 
-        def mix_view(feats: Tensor) -> Tensor:
-            return bundle.B.forward(tape, feats, training, rng) if after else feats
+        def mix_view(feats: Tensor, h: Tensor | None) -> Tensor:
+            if not after:
+                return feats
+            return bundle.B.forward(tape, feats, training, rng) if h is None else h
 
-        mix_input = mix_view(feats_tgt)
+        mix_input = mix_view(feats_tgt, h_tgt)
         mix_kw = {}
-        if probs_tgt is not None and not after:
+        if probs_tgt is not None and not (after and training):
             mix_kw["pseudo_probs"] = probs_tgt
         if config.mixup.include_source:
-            mix_kw.update(src_features=mix_view(feats_src), src_labels=src.labels)
+            mix_kw.update(src_features=mix_view(feats_src, h_src), src_labels=src.labels)
         mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng,
                                 through_bottleneck=not after, **mix_kw)
         if len(mixed) >= 2 or not training:
@@ -244,8 +254,8 @@ def objective(
                                          through_bottleneck=not after)
             total = ad.add(tape, total, ad.scale_shift(tape, eps_m, lam_m))
 
-    return Objective(total, eps_c, eps_d, eps_m, lam_d, lam_m,
-                     feats_src, feats_tgt, logits_src, logits_tgt, d_src, d_tgt)
+    return Objective(total, eps_c, eps_d, eps_m, lam_d, lam_m, feats_src, feats_tgt,
+                     logits_src, logits_tgt, d_src, d_tgt, probs_src, probs_tgt)
 
 
 def train_step(
@@ -299,15 +309,15 @@ def evaluate(
         if not np.isfinite(tensor.data).all():
             raise StateError(f"evaluation at iteration {iteration}: non-finite {name}; "
                              "the model has diverged")
-    probs_t = ad.softmax_rows(None, obj.logits_tgt).data
 
     if obj.d_src.cols == config.num_classes:
         params = config.margin_params()
-        probs_s = ad.softmax_rows(None, obj.logits_src).data
+        probs_s = (ad.softmax_rows(None, obj.logits_src).data if obj.probs_src is None
+                   else obj.probs_src)
         probs_d_s = ad.softmax_rows(None, obj.d_src).data
         probs_d_t = ad.softmax_rows(None, obj.d_tgt).data
         delta_s = empirical_margin_disparity(probs_s, probs_d_s, params.rho)
-        delta_t = empirical_margin_disparity(probs_t, probs_d_t, params.rho)
+        delta_t = empirical_margin_disparity(obj.probs_tgt, probs_d_t, params.rho)
         mdd_est = empirical_mdd_estimate(delta_s, delta_t)
     else:
         # a 2-way domain head is not a classifier over the label set
@@ -318,7 +328,7 @@ def evaluate(
         **obj.terms(),
         src_acc=accuracy(obj.logits_src, src_eval.labels),
         tgt_acc=accuracy(obj.logits_tgt, tgt_eval.labels),
-        tgt_entropy=float(conditional_entropy(probs_t).mean()),
+        tgt_entropy=float(conditional_entropy(obj.probs_tgt).mean()),
         mdd_est=mdd_est,
         h_div=empirical_h_divergence(obj.feats_src.data, obj.feats_tgt.data),
     )

@@ -469,6 +469,7 @@ def ablation(tmp_path_factory, experiment):
     return accs
 
 
+@pytest.mark.slow
 def test_synthetic_adaptation_experiment(experiment):
     with criterion("synthetic-adaptation-experiment"):
         accs = experiment["accs"]
@@ -492,6 +493,7 @@ def test_synthetic_adaptation_experiment(experiment):
             f"experiment took {experiment['experiment_time']:.0f}s >= 600s"
 
 
+@pytest.mark.slow
 def test_ablation_direction(ablation):
     with criterion("ablation-direction"):
         full = float(np.mean(ablation["full_saf"]))

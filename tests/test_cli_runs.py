@@ -193,6 +193,19 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert (out / "source.csv").read_bytes() == (out / "target.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--noise", "noise_sd"), ("--rotation", "rotation_deg"),
+        ("--translate-x", "translation"), ("--translate-y", "translation"),
+        ("--scale", "scale"),
+    ])
+    def test_gen_data_non_finite_value_exits_two(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "d"
+        assert main(["gen-data", flag, value, "--samples", "12", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"saflab: error: {field} must be finite, got "), err
+        assert not out.exists()
+
     def test_train_single_run(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)])
@@ -303,22 +316,23 @@ class TestCli:
         assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
                                                               capsys):
         cfg = data_dir / "diverge.cfg"
+        # one update at this rate overflows every trained parameter (numpy
+        # warns of the overflow), so the losses of step t = 1 are NaN and the
+        # step raises before the evaluation
         cfg.write_text(TINY_CFG.replace("backbone = dann", "backbone = mdd")
-                       + "base_lr = 5\n", encoding="utf-8")
+                       + "base_lr = 1e300\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
-        # eps_d is inf at step t = 2; the step raises before the next evaluation
-        assert "train step 2: non-finite eps_d (inf)" in capsys.readouterr().err
+        assert "train step 1: non-finite eps_c (nan)" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.txt").exists()
         assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                      "--out", str(tmp_path / "abl")]) == 0
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
         assert len(rows) == len(runs.ABLATION_VARIANTS)
-        assert all(",nan,nan,error: train step 2: non-finite eps_d (inf)" in r
+        assert all(",nan,nan,error: train step 1: non-finite eps_c (nan)" in r
                    for r in rows), rows
 
     @pytest.mark.parametrize("command", ["train", "ablate"])

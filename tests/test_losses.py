@@ -230,6 +230,49 @@ class TestMddAdversarialLoss:
         assert_grad_close(d_src.grad, fd_grad(f_src, d_src_data))
         assert_grad_close(d_tgt.grad, fd_grad(f_tgt, d_tgt_data))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_complement_loss_finite_over_every_logit_gap(self, k):
+        # the selected logit leads the others by 0..700; the reference is
+        # lse(x) - lse(x without idx) and its gradient softmax(x) minus the
+        # softmax over the other columns.  Past the split (1 - p < 1e-11) the
+        # loss takes the other columns' log-sum-exp and matches to 1e-13.
+        # Below it the plain s_full - e_sel keeps its bytes, and with them its
+        # cancellation error of a few eps / (1 - p), which reaches ~1e-5 at
+        # the split (gap ~25.3).  Past gap ~745 s_comp underflows to 0, which
+        # must neither warn nor reach the result
+        eps = np.finfo(np.float64).eps
+
+        def lse(v):
+            top = v.max()
+            return top + np.log(np.exp(v - top).sum())
+
+        def softmax(v):
+            e = np.exp(v - v.max())
+            return e / e.sum()
+
+        gen = np.random.default_rng(k)
+        for gap in [*np.arange(0.0, 700.25, 0.25), 800.0, 1e4]:
+            x = gen.normal(size=k)
+            idx = int(gen.integers(k))
+            x[idx] = np.delete(x, idx).max() + gap
+            rest = x.copy()
+            rest[idx] = -np.inf
+            ref = lse(x) - lse(rest)
+            logits = t(x[None, :])
+            tape = Tape()
+            loss = L._complement_log_softmax_nll(tape, logits, np.array([idx]))
+            backward(loss, tape)
+            grad_err = np.abs(logits.grad[0] - (softmax(x) - softmax(rest))).max()
+            err = abs(loss.item() - ref)
+            assert math.isfinite(loss.item()), gap
+            if ref > -math.log(0.99e-11):
+                assert err <= 1e-13 * max(1.0, ref), (gap, err)
+                assert grad_err <= 1e-15, (gap, grad_err)
+            else:
+                bound = 4 * eps * (math.exp(ref) + ref + 1.0)
+                assert err <= bound and grad_err <= bound, (gap, err, grad_err)
+
 
 class TestMargin:
     def test_certain_prediction(self):
@@ -374,8 +417,9 @@ class TestHDivergence:
     def test_default_grid_is_bit_identical_to_the_loop(self, data, cols, points):
         # coarse values give ties on the grid; constant columns, NaN and
         # +-inf exercise the degenerate thresholds
+        signed_zero = st.sampled_from([0.0, -0.0])
         values = st.one_of(st.integers(-3, 3).map(float),
-                           st.floats(-3.0, 3.0).map(lambda v: round(v, 1)))
+                           st.floats(-3.0, 3.0).map(lambda v: round(v, 1)), signed_zero)
         special = st.sampled_from([math.nan, math.inf, -math.inf])
 
         def domain():
@@ -389,6 +433,10 @@ class TestHDivergence:
         s, t_pts = domain(), domain()
         for c in data.draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
             s[:, c] = t_pts[:, c] = data.draw(values)
+        # columns of mixed signed zeros: the sorted ends may be either zero
+        for c in data.draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+            for pts in (s, t_pts):
+                pts[:, c] = data.draw(hnp.arrays(np.float64, len(pts), elements=signed_zero))
         with np.errstate(invalid="ignore"):
             stumps = L.axis_stump_grid(np.vstack([s, t_pts]), points)
             fast = L.empirical_h_divergence(s, t_pts, points_per_axis=points)

@@ -76,6 +76,24 @@ class TestRandomDrawPairs:
         with pytest.raises(DataError):
             random_draw_pairs(0, rng)
 
+    def test_array_pairing_matches_the_list_construction(self, bundle):
+        # the oracle is the per-pair construction the array slices replaced:
+        # same pairs, plain int tuples, and the generator left in the same state
+        b, _ = bundle
+        for n in range(1, 71):
+            old_rng, new_rng = np.random.default_rng(n), np.random.default_rng(n)
+            order = old_rng.permutation(n)
+            want = [(int(order[i]), int(order[i + 1])) for i in range(0, n - 1, 2)]
+            if n % 2 == 1:
+                want.append((int(order[-1]), int(order[-1])))
+            got = random_draw_pairs(n, new_rng)
+            assert got == want, n
+            assert all(type(i) is int for pair in got for i in pair)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            mixed = saf_mixup_batch(None, b, Tensor(np.zeros((n, b.M.in_dim))),
+                                    MixupPolicy(mode="constant"), np.random.default_rng(n))
+            assert mixed.pair_indices == want, n
+
     def test_matching_marginals_uniform(self):
         # each unordered pair of 6 items should appear with frequency 1/5
         rng = np.random.default_rng(123)

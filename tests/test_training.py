@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import saflab.autodiff as ad
 import saflab.training as tr
 from saflab import (
     ConfigError,
@@ -230,6 +231,29 @@ class TestEvaluate:
         for t in range(3):
             train_step(bundle, src, tgt.without_labels(), cfg, t, rng)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("backbone", ["dann", "mdd"])
+    @pytest.mark.parametrize("after, b_passes", [(False, 3), (True, 2)])
+    def test_each_domain_passes_through_b_once(self, monkeypatch, backbone, after, b_passes):
+        # eval-mode B is a pure function, so C, D and the mixup reuse the
+        # source and target passes, and only the mixed rows take one more
+        # (none when the mixup runs after B).  The class softmaxes come with
+        # the objective: evaluate adds only the adversary's two
+        cfg = tiny_config(backbone=backbone, mixup_after_bottleneck=after)
+        src, tgt = moon_pair(20)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        calls = {"B": 0, "softmax": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kw):
+                calls[key] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(bundle.B, "forward", counted("B", bundle.B.forward))
+        monkeypatch.setattr(ad, "softmax_rows", counted("softmax", ad.softmax_rows))
+        evaluate(bundle, src, tgt, cfg, iteration=3)
+        assert calls == {"B": b_passes, "softmax": 4}
 
 
 class TestRunExperiment:
