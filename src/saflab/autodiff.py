@@ -153,6 +153,11 @@ def _colsum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, keepdims=True)
 
 
+def _relu(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # subgradient 0 at exactly 0
+    return np.maximum(d, 0.0), d > 0.0
+
+
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     s = np.empty_like(d)
     pos = d >= 0
@@ -198,10 +203,8 @@ def _bn_forward(d, gamma, beta, state, training, momentum=_BN_MOMENTUM, eps=_BN_
         dev = d - state.mean
         var = state.var
     ivar = 1.0 / np.sqrt(var + eps)
-    dev *= ivar  # dev is this function's own array; it becomes xhat
-    y = dev * gamma
-    y += beta
-    return y, dev, ivar
+    xhat = dev * ivar
+    return xhat * gamma + beta, xhat, ivar
 
 
 def _bn_backward(g, gamma, xhat, ivar, training):
@@ -290,8 +293,8 @@ def mul_colvec(tape: Tape | None, x: Tensor, c: Tensor) -> Tensor:
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
-    out = wrap(np.maximum(x.data, 0.0))
-    gate = x.data > 0.0  # subgradient 0 at exactly 0
+    y, gate = _relu(x.data)
+    out = wrap(y)
 
     def bwd(g):
         return (g * gate,)
@@ -410,17 +413,14 @@ def dense(
     """
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {x.shape} x {w.shape}")
-    # y is this layer's own array, updated in place; x, xhat and s never are
-    y = x.data @ w.data
-    y += b.data
+    y = x.data @ w.data + b.data
     inputs: tuple[Tensor, ...] = (x, w, b)
     if bn is not None:
         gamma, beta, state = bn
         y, xhat, ivar = _bn_forward(y, gamma.data, beta.data, state, training)
         inputs = (x, w, b, gamma, beta)
     if activation == "relu":
-        gate = y > 0.0 if tape is not None else None  # only a backward reads it
-        np.maximum(y, 0.0, out=y)
+        y, gate = _relu(y)
     elif activation == "sigmoid":
         y = s = _sigmoid(y)
     elif activation != "none":
@@ -428,7 +428,7 @@ def dense(
     keep = None
     if training and rate > 0.0:
         keep = _dropout_mask(y.shape, rate, rng)
-        y = y * keep if activation == "sigmoid" else np.multiply(y, keep, out=y)
+        y = y * keep
     out = wrap(y)
 
     def bwd(g):

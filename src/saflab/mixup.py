@@ -91,10 +91,9 @@ class MixedBatch:
 
 
 def draw_pair_positions(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A uniformly random perfect matching of 0..n-1 as the arrays of first
-    and second members: (order[0], order[1]), (order[2], order[3]), ... of one
-    ``rng.permutation(n)``.  An odd leftover index is paired with itself (it
-    contributes an ordinary self-training row downstream)."""
+    """A uniformly random perfect matching of 0..n-1 as arrays of first and
+    second members, the consecutive pairs of one ``rng.permutation(n)``; an odd
+    leftover index is paired with itself (a self-training row downstream)."""
     if n < 1:
         raise DataError(f"cannot pair an empty pool (n={n})")
     order = rng.permutation(n)
@@ -183,8 +182,7 @@ def saf_mixup_batch(
 
     a_pos, b_pos = draw_pair_positions(n, rng)
     ids_a, ids_b = pool_ids[a_pos], pool_ids[b_pos]
-    phi1 = ad.take_rows(tape, pool, ids_a)
-    phi2 = ad.take_rows(tape, pool, ids_b)
+    phi1, phi2 = ad.take_rows(tape, pool, ids_a), ad.take_rows(tape, pool, ids_b)
 
     p = a_pos.size
     if policy.mode == "saf":

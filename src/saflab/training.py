@@ -185,14 +185,13 @@ def objective(
 
     F has no dropout and no batch norm, so its output is the same in either
     mode: the eval-mode pseudo-label and adversary passes reuse the features
-    computed here.  Eval-mode B is a pure function and the gradient reversal
-    an identity forward, so there each domain passes through B once, and C, D
-    and the ``after_bottleneck`` mixup reuse that output.  Every training-mode
-    pass through B updates B's running statistics, in a fixed order: an
-    mdd+saf step makes 4 such passes -- source classify, source adversary,
-    target adversary, then the mixed rows (with ``after_bottleneck`` the
-    mixing inputs, target then source, pass through B instead of the mixed
-    rows).  B normalises each domain's batch on its own, unlike the
+    computed here.  In eval mode B is pure and the gradient reversal an
+    identity, so each domain passes through B once, for C, D and the
+    ``after_bottleneck`` mixup.  Every training-mode B pass updates B's
+    running statistics, in a fixed order: an mdd+saf step makes 4 -- source
+    classify, source adversary, target adversary, then the mixed rows (with
+    ``after_bottleneck`` the mixing inputs, target then source, instead of
+    the mixed rows).  B normalises each domain's batch on its own, unlike the
     reference code of DANN and MDD, which passes one concatenated
     source+target batch; changing that changes the numerics.
     """
@@ -272,13 +271,15 @@ def train_step(
     term is NaN or inf, before the parameters are updated.
     """
     tape = Tape()
-    obj = objective(bundle, src, tgt, config, t, tape=tape, training=True, rng=rng)
-    terms = obj.terms()
-    for name in ("eps_c", "eps_d", "eps_m"):
-        if not math.isfinite(terms[name]):
-            raise StateError(f"train step {t}: non-finite {name} ({terms[name]}); "
-                             "the model has diverged")
-    ad.backward(obj.total, tape)
+    # a diverging model overflows here; the loss check (now or next step) names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = objective(bundle, src, tgt, config, t, tape=tape, training=True, rng=rng)
+        terms = obj.terms()
+        for name in ("eps_c", "eps_d", "eps_m"):
+            if not math.isfinite(terms[name]):
+                raise StateError(f"train step {t}: non-finite {name} ({terms[name]}); "
+                                 "the model has diverged")
+        ad.backward(obj.total, tape)
     ad.sgd_nesterov_step(bundle.buffer, config.base_lr, config.momentum)
     return terms
 
@@ -300,8 +301,9 @@ def evaluate(
     """
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("evaluation batches must carry labels")
-    obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
-                    training=False, rng=np.random.default_rng(config.seed))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
+                        training=False, rng=np.random.default_rng(config.seed))
     read = {"source features": obj.feats_src, "target features": obj.feats_tgt,
             "source logits": obj.logits_src, "target logits": obj.logits_tgt,
             "source adversary logits": obj.d_src, "target adversary logits": obj.d_tgt}

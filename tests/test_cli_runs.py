@@ -316,12 +316,13 @@ class TestCli:
         assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
                                                               capsys):
         cfg = data_dir / "diverge.cfg"
-        # one update at this rate overflows every trained parameter (numpy
-        # warns of the overflow), so the losses of step t = 1 are NaN and the
-        # step raises before the evaluation
+        # one update at this rate makes every trained parameter huge, so the
+        # forward pass of step t = 1 overflows and its losses are NaN; the step
+        # raises, with no numpy warning, before the evaluation
         cfg.write_text(TINY_CFG.replace("backbone = dann", "backbone = mdd")
                        + "base_lr = 1e300\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
