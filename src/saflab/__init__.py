@@ -38,7 +38,6 @@ from .losses import (
 )
 from .mixup import MixedBatch, MixupPolicy, random_draw_pairs, saf_mixup_batch, saf_supervision_loss
 from .networks import (
-    MLPSpec,
     ModelBundle,
     SAFModule,
     adversary_logits,

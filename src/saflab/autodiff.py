@@ -2,8 +2,8 @@
 
 The operation set is exactly what the adaptation networks and losses need:
 matrix product, bias add, elementwise activations, row softmax, dropout,
-batch normalization, gradient reversal, row gather/concat and a couple of
-scalar reductions, plus :func:`dense`, a whole MLP layer (matrix product,
+batch normalization, gradient reversal, row gather/concat and a scalar
+sum, plus :func:`dense`, a whole MLP layer (matrix product,
 bias, optional batch norm, activation, optional dropout) fused into one
 operation.  Each operation records one backward closure on an explicit
 :class:`Tape`; :func:`backward` replays the tape in exact reverse order,
@@ -469,16 +469,6 @@ def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
     return record_op(tape, (x,), out, bwd)
 
 
-def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor([[x.data.sum() / n]])
-
-    def bwd(g):
-        return (np.full(x.shape, g[0, 0] / n),)
-
-    return record_op(tape, (x,), out, bwd)
-
-
 def take_rows(tape: Tape | None, x: Tensor, idx) -> Tensor:
     """Gather rows by index; backward scatters gradients back additively."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -556,21 +546,16 @@ class ParamBuffer:
             start = stop
 
 
-def sgd_nesterov_step(
-    params: ParamBuffer | Iterable[Parameter], base_lr: float, momentum: float
-) -> None:
+def sgd_nesterov_step(buf: ParamBuffer, base_lr: float, momentum: float) -> None:
     """One Nesterov step: v <- mu*v - lr*g; theta <- theta + mu*v - lr*g.
 
-    The step is a handful of vector operations over a :class:`ParamBuffer`;
-    a plain iterable of parameters is packed into a new one first, which
-    takes them out of any buffer they were in.  The effective lr is
-    base_lr * lr_multiplier per element.  Parameters without a gradient
-    keep their values and velocity bit for bit; gradients are cleared
-    afterwards.
+    The step is a handful of vector operations over a :class:`ParamBuffer`.
+    The effective lr is base_lr * lr_multiplier per element.  Parameters
+    without a gradient keep their values and velocity bit for bit;
+    gradients are cleared afterwards.
     """
     if base_lr <= 0:
         raise ConfigError(f"base_lr must be positive, got {base_lr}")
-    buf = params if isinstance(params, ParamBuffer) else ParamBuffer(params)
     flat, trained = [], []
     for p, size in zip(buf.params, buf.sizes):
         g = p.tensor.grad

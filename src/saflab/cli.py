@@ -21,13 +21,14 @@ from .data import (
     TARGET_TAG,
     gen_gaussian_blobs,
     gen_two_moons,
+    load_csv,
     save_csv,
 )
 from .embed import export_embeddings
 from .exceptions import SafLabError
 from .networks import build_bundle
 from .runs import load_datasets, run_ablation, run_with_seeds
-from .training import evaluate, run_experiment
+from .training import METRICS_HEADER, evaluate, run_experiment
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -145,17 +146,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_model(args):
+    """The config, both labeled datasets and the saved model that ``args`` name."""
     cfg = _load_file_config(Path(args.config), {})
-    from .data import load_csv
-
     src = load_csv(args.source, has_labels=True, domain_tag=SOURCE_TAG)
     tgt = load_csv(args.target, has_labels=True, domain_tag=TARGET_TAG)
     bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
     bundle.load_params(args.model)
-    rec = evaluate(bundle, src, tgt, cfg.train)
-    from .training import METRICS_HEADER
+    return cfg, src, tgt, bundle
 
+
+def cmd_eval(args) -> int:
+    cfg, src, tgt, bundle = _load_model(args)
+    rec = evaluate(bundle, src, tgt, cfg.train)
     print(METRICS_HEADER)
     print(rec.csv_row())
     return 0
@@ -170,13 +173,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    cfg = _load_file_config(Path(args.config), {})
-    from .data import load_csv
-
-    src = load_csv(args.source, has_labels=True, domain_tag=SOURCE_TAG)
-    tgt = load_csv(args.target, has_labels=True, domain_tag=TARGET_TAG)
-    bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
-    bundle.load_params(args.model)
+    _, src, tgt, bundle = _load_model(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_embeddings(bundle, src, tgt, out / "embeddings.csv", out / "embeddings.svg")

@@ -7,6 +7,7 @@ table, :data:`TABLE`, drives parsing, defaults, default documentation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -163,9 +164,12 @@ def build_config(pairs: dict[tuple[str, str], str]) -> FileConfig:
     kwargs: dict[str, dict[str, Any]] = {"file": {}, "train": {}, "mixup": {}}
     for k in TABLE:
         try:
-            kwargs[k.owner][k.attr] = k.parse(merged[(k.section, k.key)])
+            value = k.parse(merged[(k.section, k.key)])
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value}")
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{k.section}.{k.key}: {exc}") from None
+        kwargs[k.owner][k.attr] = value
     train = TrainConfig(mixup=MixupPolicy(**kwargs["mixup"]), **kwargs["train"])
     return FileConfig(train=train, **kwargs["file"])
 

@@ -107,14 +107,9 @@ def random_draw_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]
     return list(zip(first.tolist(), second.tolist()))
 
 
-def pseudo_label_probs(bundle: ModelBundle, features: np.ndarray,
-                       through_bottleneck: bool = True) -> np.ndarray:
-    """Eval-mode classifier probabilities, detached from the graph."""
-    t = Tensor(np.asarray(features, dtype=np.float64))
-    if through_bottleneck:
-        logits = classify(None, bundle, t, training=False)
-    else:
-        logits = bundle.C.forward(None, t, training=False)
+def pseudo_label_probs(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
+    """Eval-mode classifier probabilities of extractor features, detached."""
+    logits = classify(None, bundle, Tensor(np.asarray(features, dtype=np.float64)))
     return ad.softmax_rows(None, logits).data
 
 
@@ -128,16 +123,16 @@ def saf_mixup_batch(
     src_features: Tensor | None = None,
     src_labels=None,
     pseudo_probs: np.ndarray | None = None,
-    through_bottleneck: bool = True,
 ) -> MixedBatch:
     """Pair, weigh and mix the target feature rows.
 
     Steps: entropy-filter the target rows, append source rows when the policy
     asks for them (their one-hot ground truth stands in for pseudo-labels),
     draw a random matching, compute eta per pair, and emit the convex
-    combinations of features and label distributions.  ``pseudo_probs``
-    overrides the eval-mode pseudo-label computation (the gradient-check
-    harness uses this to freeze the stop-gradient targets).
+    combinations of features and label distributions.  ``pseudo_probs`` are
+    the target rows' pseudo-labels; training and evaluation always pass them
+    (see :func:`saflab.training.objective`).  Without them the rows are taken
+    as extractor features and labelled by :func:`pseudo_label_probs`.
     """
     k = bundle.num_classes
     width = bundle.M.in_dim
@@ -148,7 +143,7 @@ def saf_mixup_batch(
             f"target features have width {target_features.cols}, mixup expects {width}"
         )
     if pseudo_probs is None:
-        probs = pseudo_label_probs(bundle, target_features.data, through_bottleneck)
+        probs = pseudo_label_probs(bundle, target_features.data)
     else:
         probs = np.asarray(pseudo_probs, dtype=np.float64)
         if probs.shape != (target_features.rows, k):

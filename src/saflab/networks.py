@@ -10,44 +10,13 @@ to the features first, then runs them through the shared bottleneck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Parameter, ParamBuffer, Tape, Tensor
 from .data import write_atomic
-from .exceptions import ConfigError, DataError, ShapeError
-
-ACTIVATIONS = ("relu", "sigmoid", "none")
-
-
-@dataclass
-class MLPSpec:
-    """Per-layer widths, activations, dropout rates and batch-norm flags."""
-
-    in_dim: int
-    widths: list[int]
-    activations: list[str]
-    dropout_rates: list[float]
-    batch_norm: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.batch_norm:
-            self.batch_norm = [False] * len(self.widths)
-        n = len(self.widths)
-        if not (len(self.activations) == len(self.dropout_rates) == len(self.batch_norm) == n):
-            raise ConfigError("per-layer lists must have equal length")
-        if n == 0:
-            raise ConfigError("an MLP needs at least one layer")
-        if self.in_dim < 1 or min(self.widths) < 1:
-            raise ConfigError(f"dimensions must be positive: in={self.in_dim}, widths={self.widths}")
-        for a in self.activations:
-            if a not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {a!r}")
-        for r in self.dropout_rates:
-            if not (0.0 <= r < 1.0):
-                raise ConfigError(f"dropout rate must be in [0, 1), got {r}")
+from .exceptions import DataError, ShapeError
 
 
 class _Layer:
@@ -74,17 +43,16 @@ def _init_weight(fan_in: int, fan_out: int, activation: str, rng: np.random.Gene
 
 class MLP:
     """Stack of FC -> [batch norm] -> activation -> [dropout] layers, each
-    recorded as one :func:`saflab.autodiff.dense` tape node."""
+    recorded as one :func:`saflab.autodiff.dense` tape node; ``layers`` holds
+    one ``(width, "relu" | "sigmoid" | "none", dropout, batch_norm)`` row each."""
 
-    def __init__(self, spec: MLPSpec, rng: np.random.Generator,
+    def __init__(self, in_dim: int, layers, rng: np.random.Generator,
                  lr_multiplier: float = 1.0, name: str = "mlp"):
-        self.spec = spec
         self.name = name
+        self.in_dim = in_dim
         self.layers: list[_Layer] = []
-        fan_in = spec.in_dim
-        for i, (width, act, rate, bn) in enumerate(
-            zip(spec.widths, spec.activations, spec.dropout_rates, spec.batch_norm)
-        ):
+        fan_in = in_dim
+        for i, (width, act, rate, bn) in enumerate(layers):
             w = Parameter(_init_weight(fan_in, width, act, rng), lr_multiplier, f"{name}.{i}.w")
             b = Parameter(np.zeros((1, width)), lr_multiplier, f"{name}.{i}.b")
             gamma = beta = state = None
@@ -94,14 +62,7 @@ class MLP:
                 state = BatchNormState(width)
             self.layers.append(_Layer(w, b, act, rate, gamma, beta, state))
             fan_in = width
-
-    @property
-    def in_dim(self) -> int:
-        return self.spec.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.spec.widths[-1]
+        self.out_dim = fan_in
 
     def forward(self, tape: Tape | None, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -139,17 +100,12 @@ class SAFModule:
 
     def __init__(self, in_dim: int, saf_dim: int, count: int,
                  rng: np.random.Generator, lr_multiplier: float = 10.0, name: str = "M"):
-        if count < 1:
-            raise ConfigError(f"need at least one mixup bottleneck, got {count}")
         self.in_dim = in_dim
         self.saf_dim = saf_dim
-        self.bottlenecks = [
-            MLP(MLPSpec(in_dim, [saf_dim], ["relu"], [0.0]), rng, lr_multiplier, f"{name}.s{i}")
-            for i in range(count)
-        ]
-        self.estimator = MLP(
-            MLPSpec(saf_dim, [1], ["sigmoid"], [0.0]), rng, lr_multiplier, f"{name}.eta"
-        )
+        self.bottlenecks = [MLP(in_dim, [(saf_dim, "relu", 0.0, False)], rng, lr_multiplier,
+                                f"{name}.s{i}") for i in range(count)]
+        self.estimator = MLP(saf_dim, [(1, "sigmoid", 0.0, False)], rng, lr_multiplier,
+                             f"{name}.eta")
 
     def parameters(self):
         for b in self.bottlenecks:
@@ -163,7 +119,7 @@ class SAFModule:
 
 
 class ModelBundle:
-    """F, B, C, D and M with all dimension seams checked at build time.
+    """F, B, C, D and M, built by :func:`build_bundle` from a checked config.
 
     ``buffer`` packs every parameter, in :meth:`parameters` order, into one
     flat :class:`~saflab.autodiff.ParamBuffer`, which the optimizer steps.
@@ -238,35 +194,20 @@ class ModelBundle:
 
 
 def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
-    """Construct all blocks from a TrainConfig-like object.
+    """Construct all blocks from a validated TrainConfig.
 
     Learning-rate multipliers: extractor and adversary carry 1, bottleneck,
     classifier and mixup module carry 10.
     """
     k = config.num_classes
-    if k < 2:
-        raise ConfigError(f"need at least 2 classes, got {k}")
-    f_widths = list(config.f_widths)
-    if not f_widths:
-        raise ConfigError("extractor needs at least one layer width")
-    feature_dim = f_widths[-1]
-    drop = config.dropout
-    f_spec = MLPSpec(config.input_dim, f_widths, ["relu"] * len(f_widths),
-                     [0.0] * len(f_widths))
-    b_spec = MLPSpec(feature_dim, [config.bottleneck_dim], ["relu"], [drop], [True])
-    c_spec = MLPSpec(config.bottleneck_dim, [config.bottleneck_dim, k],
-                     ["relu", "none"], [drop, 0.0])
+    feature_dim = config.f_widths[-1]
+    hidden, drop = config.bottleneck_dim, config.dropout
     d_out = 2 if config.backbone == "dann" else k
-    d_spec = MLPSpec(config.bottleneck_dim, [config.bottleneck_dim, d_out], ["relu", "none"],
-                     [drop, 0.0])
-    if config.backbone not in ("dann", "mdd"):
-        raise ConfigError(f"unknown backbone {config.backbone!r}")
-
-    saf_in = config.bottleneck_dim if config.mixup_after_bottleneck else feature_dim
-    F = MLP(f_spec, rng, 1.0, "F")
-    B = MLP(b_spec, rng, 10.0, "B")
-    C = MLP(c_spec, rng, 10.0, "C")
-    D = MLP(d_spec, rng, 1.0, "D")
+    saf_in = hidden if config.mixup_after_bottleneck else feature_dim
+    F = MLP(config.input_dim, [(w, "relu", 0.0, False) for w in config.f_widths], rng, 1.0, "F")
+    B = MLP(feature_dim, [(hidden, "relu", drop, True)], rng, 10.0, "B")
+    C = MLP(hidden, [(hidden, "relu", drop, False), (k, "none", 0.0, False)], rng, 10.0, "C")
+    D = MLP(hidden, [(hidden, "relu", drop, False), (d_out, "none", 0.0, False)], rng, 1.0, "D")
     M = SAFModule(saf_in, config.saf_dim, config.saf_bottlenecks, rng, 10.0, "M")
     return ModelBundle(F, B, C, D, M, config.backbone, k)
 

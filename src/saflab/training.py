@@ -81,11 +81,15 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+        if not self.f_widths:
+            raise ConfigError("the extractor needs at least one layer width")
         dims = (self.input_dim, *self.f_widths, self.bottleneck_dim, self.saf_dim)
         if min(dims) < 1:
             raise ConfigError(f"model dimensions must be positive, got {dims}")
         if self.saf_bottlenecks < 1:
             raise ConfigError(f"need at least one mixup bottleneck, got {self.saf_bottlenecks}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
 
     def margin_params(self) -> MarginParams:
         return MarginParams.from_gamma(self.margin_gamma)
@@ -138,7 +142,8 @@ def lambda_m_schedule(t: int, total: int, max_value: float = 0.1) -> float:
 class Objective:
     """One evaluation of the joint objective: its terms plus the activations
     the evaluation diagnostics read, among them the eval-mode target logits and
-    softmax (not in a dann training step) and mdd's eval-mode source softmax."""
+    softmax (in a training step only for mdd, or for the mixup before B) and
+    mdd's eval-mode source softmax."""
 
     total: Tensor
     eps_c: Tensor
@@ -181,7 +186,9 @@ def objective(
     it is exactly 0 the adversarial term is computed out of graph in eval
     mode and left out of ``total``, so the step matches plain supervised
     training.  In training mode a mixed batch of fewer than 2 rows (batch
-    norm needs 2) contributes 0, like an empty one.
+    norm needs 2) contributes 0, like an empty one.  The mixup's target
+    pseudo-labels are decided here: the eval-mode target softmax, or, when a
+    training step mixes after B, eval-mode C on the B outputs that get mixed.
 
     F has no dropout and no batch norm, so its output is the same in either
     mode: the eval-mode pseudo-label and adversary passes reuse the features
@@ -203,12 +210,15 @@ def objective(
     feats_src = forward_features(tape, bundle, src, training, rng)
     feats_tgt = forward_features(tape, bundle, tgt, training, rng)
     adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
+    after = config.mixup_after_bottleneck
     h_src = h_tgt = logits_tgt = probs_src = None
     if training:
         logits_src = classify(tape, bundle, feats_src, training, rng)
         d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
         d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
-        if config.backbone == "mdd":  # eval mode, after the adversary's B passes
+        # eval mode, after the adversary's B passes: mdd's target pseudo-labels,
+        # and the mixup's unless it mixes training-mode B outputs
+        if config.backbone == "mdd" or (config.saf_enabled and not after):
             logits_tgt = classify(None, bundle, feats_tgt)
     else:
         h_src, h_tgt = bundle.B.forward(None, feats_src), bundle.B.forward(None, feats_tgt)
@@ -216,9 +226,8 @@ def objective(
         d_src, d_tgt = bundle.D.forward(None, h_src), bundle.D.forward(None, h_tgt)
     eps_c = cross_entropy(tape, logits_src, src.labels)
     total = eps_c
-    # eval-mode target probabilities: MDD's target pseudo-labels and evaluate's
-    # target metrics.  No training-mode B pass runs between them and the mixup
-    # unless its inputs go through B, so otherwise they are its pseudo-labels.
+    # eval-mode target probabilities: the pseudo-labels of mdd and of the mixup,
+    # and evaluate's target metrics
     probs_tgt = None if logits_tgt is None else ad.softmax_rows(None, logits_tgt).data
     if config.backbone == "dann":
         eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
@@ -233,21 +242,18 @@ def objective(
 
     eps_m = Tensor([[0.0]])
     if config.saf_enabled:
-        after = config.mixup_after_bottleneck
-
         def mix_view(feats: Tensor, h: Tensor | None) -> Tensor:
             if not after:
                 return feats
             return bundle.B.forward(tape, feats, training, rng) if h is None else h
 
         mix_input = mix_view(feats_tgt, h_tgt)
-        mix_kw = {}
-        if probs_tgt is not None and not (after and training):
-            mix_kw["pseudo_probs"] = probs_tgt
-        if config.mixup.include_source:
-            mix_kw.update(src_features=mix_view(feats_src, h_src), src_labels=src.labels)
-        mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng,
-                                through_bottleneck=not after, **mix_kw)
+        pseudo = probs_tgt
+        if after and training:  # label the training-mode B outputs that get mixed
+            pseudo = ad.softmax_rows(None, bundle.C.forward(None, mix_input)).data
+        src_mix = mix_view(feats_src, h_src) if config.mixup.include_source else None
+        mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng, pseudo_probs=pseudo,
+                                src_features=src_mix, src_labels=src.labels)
         if len(mixed) >= 2 or not training:
             eps_m = saf_supervision_loss(tape, bundle, mixed, training, rng,
                                          through_bottleneck=not after)

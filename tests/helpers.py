@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from saflab.autodiff import Tape, Tensor, record_op
+
 FD_EPS = 1e-5
 FD_RTOL = 1e-4
 
@@ -34,3 +36,14 @@ def grad_rel_err(analytic, numeric):
 def assert_grad_close(analytic, numeric, rtol=FD_RTOL):
     err = grad_rel_err(analytic, numeric)
     assert err <= rtol, f"gradient mismatch: relative error {err:.3g} > {rtol}"
+
+
+def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
+    """Mean of every entry as a 1x1 tape op (a scalar loss for gradient tests)."""
+    n = x.data.size
+    out = Tensor([[x.data.sum() / n]])
+
+    def bwd(g):
+        return (np.full(x.shape, g[0, 0] / n),)
+
+    return record_op(tape, (x,), out, bwd)

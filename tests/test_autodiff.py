@@ -7,7 +7,7 @@ import saflab.autodiff as ad
 from saflab import BatchNormState, Parameter, ShapeError, StateError, Tape, Tensor, backward
 from saflab.exceptions import ConfigError, DataError
 
-from helpers import assert_grad_close, fd_grad
+from helpers import assert_grad_close, fd_grad, mean_all
 
 
 def t(data, grad=True):
@@ -460,7 +460,7 @@ class TestBackward:
             w = Parameter(w_data.copy(), name="w")
             tape = Tape()
             out = ad.matmul(tape, t(x_part, grad=False), w.tensor)
-            loss = ad.mean_all(tape, ad.relu(tape, out))
+            loss = mean_all(tape, ad.relu(tape, out))
             backward(loss, tape)
             return w.tensor.grad
 
@@ -493,7 +493,7 @@ class TestOptimizer:
     def test_zero_momentum_is_plain_sgd(self):
         p = Parameter(np.array([[1.0, 2.0]]), name="p")
         p.tensor.grad = np.array([[0.5, -1.0]])
-        ad.sgd_nesterov_step([p], base_lr=0.1, momentum=0.0)
+        ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=0.1, momentum=0.0)
         np.testing.assert_allclose(p.tensor.data, [[0.95, 2.1]], atol=1e-15)
         assert p.tensor.grad is None
 
@@ -501,7 +501,7 @@ class TestOptimizer:
         p = Parameter(np.array([[1.0]]), name="p")
         p.velocity[:] = 0.5
         p.tensor.grad = np.zeros((1, 1))
-        ad.sgd_nesterov_step([p], base_lr=0.1, momentum=0.9)
+        ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=0.1, momentum=0.9)
         np.testing.assert_allclose(p.tensor.data, [[1.0 + 0.81 * 0.5]], atol=1e-15)
 
     def test_two_steps_match_hand_recursion(self):
@@ -510,7 +510,7 @@ class TestOptimizer:
         theta, v = 1.0, 0.0
         for _ in range(2):
             p.tensor.grad = np.array([[g]])
-            ad.sgd_nesterov_step([p], base_lr=lr, momentum=mu)
+            ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=lr, momentum=mu)
             v = mu * v - lr * g
             theta = theta + mu * v - lr * g
         assert abs(p.tensor.data[0, 0] - theta) < 1e-12
@@ -518,7 +518,7 @@ class TestOptimizer:
     def test_lr_multiplier_scales_step(self):
         p = Parameter(np.array([[0.0]]), lr_multiplier=10.0, name="p")
         p.tensor.grad = np.array([[1.0]])
-        ad.sgd_nesterov_step([p], base_lr=0.01, momentum=0.0)
+        ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=0.01, momentum=0.0)
         np.testing.assert_allclose(p.tensor.data, [[-0.1]], atol=1e-15)
 
     def test_buffer_skips_parameters_without_gradient(self):
@@ -537,4 +537,4 @@ class TestOptimizer:
     def test_missing_gradient_raises(self):
         p = Parameter(np.array([[0.0]]), name="p")
         with pytest.raises(StateError):
-            ad.sgd_nesterov_step([p], base_lr=0.01, momentum=0.9)
+            ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=0.01, momentum=0.9)

@@ -316,6 +316,20 @@ class TestCli:
         assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("eval_every = 2", "eval_every = 2\nlambda_d_max = nan",
+         "train.lambda_d_max: must be finite, got nan"),
+        ("dropout = 0.0", "dropout = 1.5", "dropout rate must be in [0, 1), got 1.5"),
+    ], ids=["lambda_d_max_nan", "dropout_1.5"])
+    def test_bad_config_value_exits_two_writing_nothing(self, data_dir, tmp_path, capsys,
+                                                        old, new, message):
+        cfg = data_dir / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"saflab: error: {message}" in capsys.readouterr().err
+        assert not (out / "config.cfg").exists() and not (out / "model.txt").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
                                                               capsys):

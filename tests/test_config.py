@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from saflab import ConfigError, MixupPolicy, TrainConfig
 from saflab.config import (
+    TABLE,
     FileConfig,
     build_config,
     default_config,
@@ -14,6 +15,16 @@ from saflab.config import (
     serialize_config,
 )
 from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
+
+
+def _parses_floats(key) -> bool:
+    try:
+        return isinstance(key.parse("0.5"), float)
+    except (ValueError, ConfigError):
+        return False
+
+
+_FLOAT_KEYS = [k for k in TABLE if _parses_floats(k)]
 
 
 class TestParsing:
@@ -73,6 +84,25 @@ class TestParsing:
         pairs[("train", "saf")] = "off"
         cfg = build_config(pairs)
         assert cfg.train.saf_enabled is False
+
+    def test_float_keys(self):
+        assert {k.key for k in _FLOAT_KEYS} == {
+            "dropout", "base_lr", "momentum", "lambda_d_max", "lambda_m_max", "margin_gamma",
+            "beta_alpha", "constant_eta", "entropy_threshold"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS, ids=lambda k: f"{k.section}.{k.key}")
+    def test_non_finite_float_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            build_config({(key.section, key.key): value})
+        assert str(exc.value) == f"{key.section}.{key.key}: must be finite, got {value}"
+
+    @pytest.mark.parametrize("changes", [
+        {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": float("nan")}, {"f_widths": ()},
+    ])
+    def test_train_config_rejects_bad_layer_values(self, changes):
+        with pytest.raises(ConfigError):
+            TrainConfig(**changes)
 
     def test_invalid_semantic_value_rejected(self):
         with pytest.raises(ConfigError):

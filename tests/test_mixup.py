@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import saflab.autodiff as ad
 from saflab import (
     ConfigError,
     DataError,
@@ -316,8 +317,9 @@ class TestSafSupervisionLoss:
         assert b.M.in_dim == cfg.bottleneck_dim
         feats = forward_features(None, b, rng.normal(size=(6, 2)))
         h = b.B.forward(None, feats)
+        probs = ad.softmax_rows(None, b.C.forward(None, h)).data
         mixed = saf_mixup_batch(None, b, h, MixupPolicy(), np.random.default_rng(4),
-                                through_bottleneck=False)
+                                pseudo_probs=probs)
         loss = saf_supervision_loss(None, b, mixed, training=False,
                                     through_bottleneck=False)
         logits = b.C.forward(None, Tensor(mixed.features.data))

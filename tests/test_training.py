@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import saflab.autodiff as ad
+import saflab.mixup as mixup
 import saflab.training as tr
 from saflab import (
     ConfigError,
@@ -81,7 +82,7 @@ class TestTrainStep:
 
         bundle_b = build_bundle(cfg, np.random.default_rng(3))
         rng_b = np.random.default_rng(7)
-        from saflab.autodiff import sgd_nesterov_step
+        from saflab.autodiff import ParamBuffer, sgd_nesterov_step
 
         for _ in range(6):
             tape = Tape()
@@ -90,7 +91,7 @@ class TestTrainStep:
             loss = cross_entropy(tape, logits, src.labels)
             backward(loss, tape)
             trained = [p for p in bundle_b.parameters() if p.tensor.grad is not None]
-            sgd_nesterov_step(trained, cfg.base_lr, cfg.momentum)
+            sgd_nesterov_step(ParamBuffer(trained), cfg.base_lr, cfg.momentum)
 
         for (n1, a1), (n2, a2) in zip(bundle_a.named_arrays(), bundle_b.named_arrays()):
             assert np.array_equal(a1, a2), n1
@@ -167,6 +168,49 @@ class TestTrainStep:
             assert np.array_equal(p.tensor.data, d_before[p.name])
         for p in bundle.M.parameters():
             assert np.array_equal(p.tensor.data, m_before[p.name])
+
+
+    @pytest.mark.parametrize("backbone, saf, after, passes", [
+        ("dann", False, False, (0, 0)), ("dann", False, True, (0, 0)),
+        ("dann", True, False, (1, 1)), ("dann", True, True, (0, 1)),
+        ("mdd", False, False, (2, 2)), ("mdd", False, True, (2, 2)),
+        ("mdd", True, False, (2, 2)), ("mdd", True, True, (2, 3)),
+    ])
+    def test_objective_decides_every_pseudo_label(self, monkeypatch, backbone, saf, after,
+                                                  passes):
+        # eval-mode (B, C) passes of one step: mdd's source and target
+        # pseudo-labels, the mixup's target pseudo-labels (C alone on the
+        # training-mode B outputs with after_bottleneck); the fallback of
+        # saf_mixup_batch is never reached, in training or in evaluate
+        cfg = tiny_config(backbone=backbone, saf_enabled=saf, mixup_after_bottleneck=after)
+        src, tgt = moon_pair(16)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        calls = {"B": 0, "C": 0, "fallback": 0}
+
+        def eval_counted(key, forward):
+            def wrapper(tape, x, training=False, rng=None):
+                calls[key] += tape is None and not training
+                return forward(tape, x, training, rng)
+            return wrapper
+
+        def fallback(*args, **kw):
+            calls["fallback"] += 1
+            return real_fallback(*args, **kw)
+
+        real_fallback = mixup.pseudo_label_probs
+        monkeypatch.setattr(mixup, "pseudo_label_probs", fallback)
+        for key in ("B", "C"):
+            block = getattr(bundle, key)
+            monkeypatch.setattr(block, "forward", eval_counted(key, block.forward))
+        # t = 2: lambda_d > 0, so the adversary runs in training mode
+        train_step(bundle, src, tgt.without_labels(), cfg, 2, np.random.default_rng(3))
+        assert (calls["B"], calls["C"], calls["fallback"]) == (*passes, 0)
+        evaluate(bundle, src, tgt, cfg, iteration=2)
+        assert calls["fallback"] == 0
+        if not after:  # the counter does see the fallback
+            mixup.saf_mixup_batch(None, bundle, forward_features(None, bundle, tgt),
+                                  cfg.mixup, np.random.default_rng(4))
+            assert calls["fallback"] == 1
 
 
 class TestEvaluate:
