@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +95,8 @@ def cmd_gen_data(args) -> int:
     save_csv(src, out / "source.csv")
     save_csv(tgt, out / "target.csv")
     manifest = {
-        "source": _spec_dict(src_spec),
-        "target": _spec_dict(tgt_spec),
+        "source": asdict(src_spec),
+        "target": asdict(tgt_spec),
         "files": {"source": "source.csv", "target": "target.csv"},
     }
     (out / "data_manifest.json").write_text(
@@ -104,18 +104,6 @@ def cmd_gen_data(args) -> int:
     )
     print(f"wrote {out / 'source.csv'}, {out / 'target.csv'}, {out / 'data_manifest.json'}")
     return 0
-
-
-def _spec_dict(spec: DomainSpec) -> dict:
-    return {
-        "generator": spec.generator,
-        "n_samples": spec.n_samples,
-        "noise_sd": spec.noise_sd,
-        "rotation_deg": spec.rotation_deg,
-        "translation": list(spec.translation),
-        "scale": spec.scale,
-        "seed": spec.seed,
-    }
 
 
 def _cli_overrides(args) -> dict[tuple[str, str], str]:

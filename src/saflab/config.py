@@ -158,7 +158,8 @@ def parse_pairs(text: str) -> dict[tuple[str, str], str]:
 
 
 def build_config(pairs: dict[tuple[str, str], str]) -> FileConfig:
-    """Defaults overlaid with the given pairs, validated by the dataclasses."""
+    """Defaults overlaid with the given pairs, validated by the dataclasses;
+    every :class:`ConfigError` names its ``section.key``."""
     merged = default_config().pairs()
     merged.update(pairs)
     kwargs: dict[str, dict[str, Any]] = {"file": {}, "train": {}, "mixup": {}}
@@ -170,7 +171,11 @@ def build_config(pairs: dict[tuple[str, str], str]) -> FileConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{k.section}.{k.key}: {exc}") from None
         kwargs[k.owner][k.attr] = value
-    train = TrainConfig(mixup=MixupPolicy(**kwargs["mixup"]), **kwargs["train"])
+    try:
+        train = TrainConfig(mixup=MixupPolicy(**kwargs["mixup"]), **kwargs["train"])
+    except ConfigError as exc:  # its message starts with the field's name
+        k = next(k for k in TABLE if k.attr == str(exc).split(" ", 1)[0])
+        raise ConfigError(f"{k.section}.{k.key}: {exc}") from None
     return FileConfig(train=train, **kwargs["file"])
 
 

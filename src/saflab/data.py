@@ -9,7 +9,7 @@ externally extracted feature sets flow through the same pipeline.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,11 @@ class DomainSpec:
 
 @dataclass
 class Batch:
-    """Feature matrix with optional integer labels and per-row domain tags."""
+    """Feature matrix with optional integer labels, all from one domain."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    domain_tags: np.ndarray = field(default=None)  # type: ignore[assignment]
+    domain: int = SOURCE_TAG
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -62,12 +62,6 @@ class Batch:
             self.labels = np.asarray(self.labels, dtype=np.intp)
             if self.labels.shape != (self.features.shape[0],):
                 raise DataError("labels must align with feature rows")
-        if self.domain_tags is None:
-            self.domain_tags = np.full(self.features.shape[0], SOURCE_TAG, dtype=np.intp)
-        else:
-            self.domain_tags = np.asarray(self.domain_tags, dtype=np.intp)
-            if self.domain_tags.shape != (self.features.shape[0],):
-                raise DataError("domain tags must align with feature rows")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -77,15 +71,12 @@ class Batch:
         return self.features.shape[1]
 
     def without_labels(self) -> "Batch":
-        return Batch(self.features, None, self.domain_tags)
+        return Batch(self.features, None, self.domain)
 
     def subset(self, idx) -> "Batch":
         idx = np.asarray(idx, dtype=np.intp)
-        return Batch(
-            self.features[idx],
-            None if self.labels is None else self.labels[idx],
-            self.domain_tags[idx],
-        )
+        return Batch(self.features[idx], None if self.labels is None else self.labels[idx],
+                     self.domain)
 
 
 def rotation_matrix(deg: float) -> np.ndarray:
@@ -118,7 +109,7 @@ def gen_two_moons(spec: DomainSpec, domain_tag: int = SOURCE_TAG) -> Batch:
     points = points + rng.normal(0.0, spec.noise_sd, size=points.shape)
     points = affine_transform(points, spec)
     labels = np.concatenate([np.zeros(n0, dtype=np.intp), np.ones(n1, dtype=np.intp)])
-    return Batch(points, labels, np.full(spec.n_samples, domain_tag, dtype=np.intp))
+    return Batch(points, labels, domain_tag)
 
 
 def gen_gaussian_blobs(
@@ -141,11 +132,7 @@ def gen_gaussian_blobs(
     for i, cnt in enumerate(counts):
         chunks.append(moved[i] + rng.normal(0.0, spec.noise_sd, size=(cnt, 2)))
         labels.append(np.full(cnt, i, dtype=np.intp))
-    return Batch(
-        np.vstack(chunks),
-        np.concatenate(labels),
-        np.full(spec.n_samples, domain_tag, dtype=np.intp),
-    )
+    return Batch(np.vstack(chunks), np.concatenate(labels), domain_tag)
 
 
 def write_atomic(path, text: str) -> None:
@@ -221,7 +208,7 @@ def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
         raise CsvParseError(f"{path}: no data rows")
     arr = np.array(feats, dtype=np.float64)
     labs = np.array(labels, dtype=np.intp) if has_labels else None
-    return Batch(arr, labs, np.full(arr.shape[0], domain_tag, dtype=np.intp))
+    return Batch(arr, labs, domain_tag)
 
 
 def batch_iterator(data: Batch, batch_size: int, shuffle: bool,

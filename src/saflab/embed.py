@@ -90,7 +90,7 @@ def export_embeddings(
         bottleneck_embeddings(bundle, src_eval),
         bottleneck_embeddings(bundle, tgt_eval),
     ])
-    domains = np.concatenate([src_eval.domain_tags, tgt_eval.domain_tags])
+    domains = np.repeat([src_eval.domain, tgt_eval.domain], [len(src_eval), len(tgt_eval)])
     labels = np.concatenate([src_eval.labels, tgt_eval.labels])
     projected, _ = pca_project_2d(emb)
 

@@ -21,24 +21,21 @@ from .exceptions import ConfigError, DataError, ShapeError
 
 @dataclass(frozen=True)
 class MarginParams:
-    """Margin threshold rho and its exponential gamma = e^rho."""
+    """Margin weight gamma > 1 and its threshold rho = log(gamma) > 0."""
 
-    rho: float
     gamma: float
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigError(f"margin threshold must be positive, got {self.rho}")
-        if not math.isclose(self.gamma, math.exp(self.rho), rel_tol=1e-12, abs_tol=1e-12):
-            raise ConfigError(
-                f"gamma must equal exp(rho): got gamma={self.gamma}, exp(rho)={math.exp(self.rho)}"
-            )
+        if not self.gamma > 1.0:
+            raise ConfigError(f"gamma must exceed 1 so rho = log(gamma) > 0, got {self.gamma}")
+
+    @property
+    def rho(self) -> float:
+        return math.log(self.gamma)
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "MarginParams":
-        if gamma <= 1.0:
-            raise ConfigError(f"gamma must exceed 1 so rho = log(gamma) > 0, got {gamma}")
-        return cls(rho=math.log(gamma), gamma=gamma)
+        return cls(gamma)
 
 
 def _check_labels(labels, num_classes: int, batch: int) -> np.ndarray:

@@ -41,16 +41,18 @@ class MixupPolicy:
     include_source: bool = False
 
     def __post_init__(self):
+        # every message starts with its field's name, as in TrainConfig
         if self.mode not in MIX_MODES:
-            raise ConfigError(f"unknown mixup mode {self.mode!r}")
+            raise ConfigError(f"mode must be one of {', '.join(MIX_MODES)}, got {self.mode!r}")
         if self.entropy_filter not in ENTROPY_FILTERS:
-            raise ConfigError(f"unknown entropy filter {self.entropy_filter!r}")
-        if not (0.0 < self.constant_eta < 1.0):
-            raise ConfigError(f"constant eta must be in (0, 1), got {self.constant_eta}")
-        if self.beta_alpha <= 0:
-            raise ConfigError(f"beta alpha must be positive, got {self.beta_alpha}")
-        if self.entropy_threshold is not None and self.entropy_threshold < 0:
-            raise ConfigError(f"entropy threshold must be >= 0, got {self.entropy_threshold}")
+            raise ConfigError(f"entropy_filter must be one of {', '.join(ENTROPY_FILTERS)}, "
+                              f"got {self.entropy_filter!r}")
+        if not 0.0 < self.constant_eta < 1.0:
+            raise ConfigError(f"constant_eta must be in (0, 1), got {self.constant_eta}")
+        if not self.beta_alpha > 0:
+            raise ConfigError(f"beta_alpha must be positive, got {self.beta_alpha}")
+        if self.entropy_threshold is not None and not self.entropy_threshold >= 0:
+            raise ConfigError(f"entropy_threshold must be >= 0, got {self.entropy_threshold}")
 
     def threshold_for(self, num_classes: int) -> float:
         if self.entropy_threshold is not None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Parameter, ParamBuffer, Tape, Tensor
 from .data import write_atomic
-from .exceptions import DataError, ShapeError
+from .exceptions import DataError, ShapeError, StateError
 
 
 class _Layer:
@@ -95,65 +95,51 @@ class MLP:
                 yield f"{self.name}.{i}.bn_var", layer.bn_state.var
 
 
-class SAFModule:
+class _Blocks:
+    """Parameters and persistent arrays of the MLPs in ``self.blocks``, in order."""
+
+    def parameters(self):
+        for block in self.blocks:
+            yield from block.parameters()
+
+    def named_arrays(self):
+        for block in self.blocks:
+            yield from block.named_arrays()
+
+
+class SAFModule(_Blocks):
     """Parallel feature bottlenecks plus a sigmoid weight estimator."""
 
     def __init__(self, in_dim: int, saf_dim: int, count: int,
                  rng: np.random.Generator, lr_multiplier: float = 10.0, name: str = "M"):
         self.in_dim = in_dim
-        self.saf_dim = saf_dim
         self.bottlenecks = [MLP(in_dim, [(saf_dim, "relu", 0.0, False)], rng, lr_multiplier,
                                 f"{name}.s{i}") for i in range(count)]
         self.estimator = MLP(saf_dim, [(1, "sigmoid", 0.0, False)], rng, lr_multiplier,
                              f"{name}.eta")
-
-    def parameters(self):
-        for b in self.bottlenecks:
-            yield from b.parameters()
-        yield from self.estimator.parameters()
-
-    def named_arrays(self):
-        for b in self.bottlenecks:
-            yield from b.named_arrays()
-        yield from self.estimator.named_arrays()
+        self.blocks = (*self.bottlenecks, self.estimator)
 
 
-class ModelBundle:
+class ModelBundle(_Blocks):
     """F, B, C, D and M, built by :func:`build_bundle` from a checked config.
 
     ``buffer`` packs every parameter, in :meth:`parameters` order, into one
     flat :class:`~saflab.autodiff.ParamBuffer`, which the optimizer steps.
     """
 
-    def __init__(self, F: MLP, B: MLP, C: MLP, D: MLP, M: SAFModule,
-                 backbone: str, num_classes: int):
-        self.F = F
-        self.B = B
-        self.C = C
-        self.D = D
-        self.M = M
-        self.backbone = backbone
+    def __init__(self, F: MLP, B: MLP, C: MLP, D: MLP, M: SAFModule, num_classes: int):
+        self.blocks = (F, B, C, D, M)
+        self.F, self.B, self.C, self.D, self.M = self.blocks
         self.num_classes = num_classes
         self.buffer = ParamBuffer(self.parameters())
 
-    def parameters(self):
-        yield from self.F.parameters()
-        yield from self.B.parameters()
-        yield from self.C.parameters()
-        yield from self.D.parameters()
-        yield from self.M.parameters()
-
-    def named_arrays(self):
-        yield from self.F.named_arrays()
-        yield from self.B.named_arrays()
-        yield from self.C.named_arrays()
-        yield from self.D.named_arrays()
-        yield from self.M.named_arrays()
-
     def save_params(self, path) -> None:
-        """Flat text format: one record per array -- name, shape, decimal values."""
+        """Flat text format: one record per array -- name, shape, decimal values.
+        A non-finite array raises :class:`StateError` naming it; nothing is written."""
         lines = []
         for name, arr in self.named_arrays():
+            if not np.isfinite(arr).all():
+                raise StateError(f"{name} is not finite; {path} is not written")
             vals = " ".join(repr(float(v)) for v in arr.ravel())
             lines.append(f"{name} {arr.shape[0]} {arr.shape[1]} {vals}")
         write_atomic(path, "\n".join(lines) + "\n")
@@ -209,7 +195,7 @@ def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
     C = MLP(hidden, [(hidden, "relu", drop, False), (k, "none", 0.0, False)], rng, 10.0, "C")
     D = MLP(hidden, [(hidden, "relu", drop, False), (d_out, "none", 0.0, False)], rng, 1.0, "D")
     M = SAFModule(saf_in, config.saf_dim, config.saf_bottlenecks, rng, 10.0, "M")
-    return ModelBundle(F, B, C, D, M, config.backbone, k)
+    return ModelBundle(F, B, C, D, M, k)
 
 
 def forward_features(tape: Tape | None, bundle: ModelBundle, x,

@@ -11,7 +11,7 @@ construction; they are used only by :func:`evaluate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,33 +63,23 @@ class TrainConfig:
     mixup_after_bottleneck: bool = False
 
     def __post_init__(self):
+        # every message starts with its field's name, which build_config maps to a key
         if self.backbone not in ("dann", "mdd"):
-            raise ConfigError(f"unknown backbone {self.backbone!r}")
-        if self.total_iterations < 1:
-            raise ConfigError(f"need at least 1 iteration, got {self.total_iterations}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch size must be >= 2, got {self.batch_size}")
-        if self.base_lr <= 0 or self.momentum < 0:
-            raise ConfigError("learning rate must be positive and momentum non-negative")
-        if self.lambda_d_max < 0 or self.lambda_m_max < 0:
-            raise ConfigError("schedule maxima must be >= 0")
-        if self.margin_gamma <= 1:
-            raise ConfigError(f"margin gamma must exceed 1, got {self.margin_gamma}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if not self.f_widths:
-            raise ConfigError("the extractor needs at least one layer width")
-        dims = (self.input_dim, *self.f_widths, self.bottleneck_dim, self.saf_dim)
-        if min(dims) < 1:
-            raise ConfigError(f"model dimensions must be positive, got {dims}")
-        if self.saf_bottlenecks < 1:
-            raise ConfigError(f"need at least one mixup bottleneck, got {self.saf_bottlenecks}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"backbone must be dann or mdd, got {self.backbone!r}")
+        minima = {"total_iterations": 1, "batch_size": 2, "momentum": 0, "lambda_d_max": 0,
+                  "lambda_m_max": 0, "eval_every": 1, "seed": 0, "num_classes": 2,
+                  "input_dim": 1, "bottleneck_dim": 1, "saf_dim": 1, "saf_bottlenecks": 1}
+        for name, lo in minima.items():
+            if not getattr(self, name) >= lo:
+                raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+        if not self.base_lr > 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not self.margin_gamma > 1:
+            raise ConfigError(f"margin_gamma must exceed 1, got {self.margin_gamma}")
+        if not self.f_widths or min(self.f_widths) < 1:
+            raise ConfigError(f"f_widths must be positive and non-empty, got {self.f_widths}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def margin_params(self) -> MarginParams:
         return MarginParams.from_gamma(self.margin_gamma)
@@ -112,11 +102,8 @@ class MetricsRecord:
     h_div: float
 
     def csv_row(self) -> str:
-        vals = [
-            self.eps_c, self.eps_d, self.eps_m, self.lambda_d, self.lambda_m,
-            self.src_acc, self.tgt_acc, self.tgt_entropy, self.mdd_est, self.h_div,
-        ]
-        return ",".join([str(self.iteration)] + [repr(float(v)) for v in vals])
+        iteration, *vals = astuple(self)
+        return ",".join([str(iteration)] + [repr(float(v)) for v in vals])
 
 
 def _ramp(t: int, total: int, max_value: float, speed: float) -> float:
@@ -302,11 +289,18 @@ def evaluate(
 
     Deterministic: the mixup loss uses a generator freshly seeded from the
     config, so calling twice yields identical records.  Target labels are
-    consumed only here.  Raises :class:`StateError` when the features or
-    logits hold NaN or inf: a diverged model has no meaningful metrics.
+    consumed only here.  Raises :class:`StateError` when a parameter, a
+    running statistic of B (the only block with batch norm), the features or
+    the logits hold NaN or inf: a diverged model has no meaningful metrics.
     """
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("evaluation batches must carry labels")
+    stats = [s for layer in bundle.B.layers if layer.bn_state is not None
+             for s in (layer.bn_state.mean, layer.bn_state.var)]
+    if not all(np.isfinite(a).all() for a in (bundle.buffer.data, *stats)):
+        name = next(n for n, a in bundle.named_arrays() if not np.isfinite(a).all())
+        raise StateError(f"evaluation at iteration {iteration}: non-finite {name}; "
+                         "the model has diverged")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
                         training=False, rng=np.random.default_rng(config.seed))

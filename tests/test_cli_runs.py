@@ -11,6 +11,7 @@ import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
 from saflab.data import DomainSpec, gen_two_moons, save_csv, write_atomic
+from saflab.exceptions import StateError
 from saflab.training import run_experiment
 
 
@@ -107,6 +108,13 @@ class TestWholeOrNothing:
     def test_save_params_leaves_nothing(self, tmp_path, tiny_bundle, failing_replace):
         bundle, _ = tiny_bundle
         with pytest.raises(OSError):
+            bundle.save_params(tmp_path / "model.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_params_refuses_a_non_finite_array(self, tmp_path, tiny_bundle):
+        bundle, _ = tiny_bundle
+        bundle.C.layers[1].b.tensor.data[0, 1] = math.inf
+        with pytest.raises(StateError, match=r"^C\.1\.b is not finite; .*is not written$"):
             bundle.save_params(tmp_path / "model.txt")
         assert list(tmp_path.iterdir()) == []
 
@@ -313,13 +321,13 @@ class TestCli:
         cfg.write_text(TINY_CFG + "seed = -1\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "saflab: error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "saflab: error: train.seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [
         ("eval_every = 2", "eval_every = 2\nlambda_d_max = nan",
          "train.lambda_d_max: must be finite, got nan"),
-        ("dropout = 0.0", "dropout = 1.5", "dropout rate must be in [0, 1), got 1.5"),
+        ("dropout = 0.0", "dropout = 1.5", "model.dropout: dropout must be in [0, 1), got 1.5"),
     ], ids=["lambda_d_max_nan", "dropout_1.5"])
     def test_bad_config_value_exits_two_writing_nothing(self, data_dir, tmp_path, capsys,
                                                         old, new, message):
@@ -349,6 +357,23 @@ class TestCli:
         assert len(rows) == len(runs.ABLATION_VARIANTS)
         assert all(",nan,nan,error: train step 1: non-finite eps_c (nan)" in r
                    for r in rows), rows
+
+    def test_overflowed_running_variance_exits_two_naming_it(self, data_dir, tmp_path,
+                                                              capsys):
+        cfg = data_dir / "overflow.cfg"
+        # at this rate B's running variance overflows to inf by step 4, while
+        # batch norm keeps the activations, and so every loss, finite
+        cfg.write_text(TINY_CFG.replace("backbone = dann", "backbone = mdd")
+                       + "base_lr = 1e14\n", encoding="utf-8")
+        error = "evaluation at iteration 4: non-finite B.0.bn_var; the model has diverged"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"saflab: error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.txt").exists()
+        assert main(["ablate", "--config", str(cfg), "--seeds", "0",
+                     "--out", str(tmp_path / "abl")]) == 0
+        rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",", 1)[0] for r in rows] == list(runs.ABLATION_VARIANTS)
+        assert all(r.endswith(f",nan,nan,error: {error}") for r in rows), rows
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("seeds", ["4..0", ",", "a", "0,0", "1..x", "-1"])

@@ -1,5 +1,7 @@
 """Strict config parsing, defaults, round-trips and overrides."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +99,22 @@ class TestParsing:
             build_config({(key.section, key.key): value})
         assert str(exc.value) == f"{key.section}.{key.key}: must be finite, got {value}"
 
+    @pytest.mark.parametrize("key, value", [
+        ("model.backbone", "resnet"), ("model.input_dim", "0"), ("model.f_widths", "4,0"),
+        ("model.bottleneck_dim", "0"), ("model.saf_dim", "0"), ("model.num_classes", "1"),
+        ("model.saf_bottlenecks", "0"), ("model.dropout", "1.0"), ("train.iterations", "0"),
+        ("train.batch_size", "1"), ("train.base_lr", "-0.0"), ("train.momentum", "-1e-9"),
+        ("train.lambda_d_max", "-1e308"), ("train.lambda_m_max", "-1.0"),
+        ("train.margin_gamma", "1.0"), ("train.eval_every", "0"), ("train.seed", "-1"),
+        ("mixup.mode", "lottery"), ("mixup.beta_alpha", "0.0"), ("mixup.constant_eta", "1.0"),
+        ("mixup.entropy_filter", "some"), ("mixup.entropy_threshold", "-0.5"),
+    ])
+    def test_range_error_names_key(self, key, value):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError) as exc:
+            build_config({(section, name): value})
+        assert str(exc.value).startswith(f"{key}: "), str(exc.value)
+
     @pytest.mark.parametrize("changes", [
         {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": float("nan")}, {"f_widths": ()},
     ])
@@ -109,6 +127,22 @@ class TestParsing:
             parse_config("[train]\nbatch_size = 1\n")
         with pytest.raises(ConfigError):
             parse_config("[mixup]\nmode = lottery\n")
+
+
+_EDGE_FLOATS = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, -1e308])
+                | st.floats(-2.0, 5.0))
+
+
+@given(st.dictionaries(st.sampled_from(_FLOAT_KEYS), _EDGE_FLOATS, min_size=1))
+def test_float_keys_fail_by_name_or_round_trip(values):
+    """Any float in any float key: a ConfigError naming one of the keys set,
+    or a config that survives serialize -> parse unchanged."""
+    try:
+        cfg = build_config({(k.section, k.key): repr(v) for k, v in values.items()})
+    except ConfigError as exc:
+        assert any(str(exc).startswith(f"{k.section}.{k.key}: ") for k in values), str(exc)
+    else:
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 def _floats(lo, hi, **kw):

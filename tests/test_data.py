@@ -68,7 +68,7 @@ class TestTwoMoons:
 
     def test_domain_tag_applied(self):
         batch = gen_two_moons(DomainSpec(n_samples=10), domain_tag=TARGET_TAG)
-        assert (batch.domain_tags == TARGET_TAG).all()
+        assert batch.domain == TARGET_TAG
 
 
 class TestAffineTransform:

@@ -7,7 +7,8 @@ source and 300 target points, seed 0, target rotated 35 degrees.  At batch
 12-row batch, and the two fall on different steps (12 and 9 in the first
 epoch); ``tests/test_golden.py`` only runs domains of equal size.  It also
 pins the embeddings exported from the mdd+saf model and the
-``data_manifest.json`` of one fixed ``gen-data`` call.
+``data_manifest.json`` of one fixed ``gen-data`` call, and checks that every
+batch drawn from a domain keeps that domain.
 
 Only a change that declares a numerics change in CHANGES.md may regenerate
 the hashes: ``PYTHONPATH=src python tests/test_golden_ragged.py`` prints them.
@@ -134,6 +135,17 @@ def test_short_batches_fall_on_different_steps():
     tgt_sizes = [len(b) for _, b in zip(range(13), cycle_batches(tgt, 32, rng))]
     assert src_sizes == [32] * 12 + [16]
     assert tgt_sizes == [32] * 9 + [12] + [32] * 3
+
+
+def test_subsets_keep_their_domain():
+    src, tgt = _data()
+    assert (src.domain, tgt.domain) == (SOURCE_TAG, TARGET_TAG)
+    for batch, domain in ((src, SOURCE_TAG), (tgt, TARGET_TAG)):
+        unlabeled = batch.without_labels()
+        assert unlabeled.labels is None and unlabeled.domain == domain
+        drawn = next(cycle_batches(unlabeled, 32, np.random.default_rng(0)))
+        assert len(drawn) == 32 and drawn.domain == domain
+        assert batch.subset([2, 0, 2]).domain == domain
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))

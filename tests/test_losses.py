@@ -20,9 +20,10 @@ def t(data, grad=True):
 
 
 class TestMarginParams:
-    def test_gamma_must_match_exp_rho(self):
-        with pytest.raises(ConfigError):
-            L.MarginParams(rho=1.0, gamma=3.0)
+    def test_gamma_must_exceed_one(self):
+        for gamma in (1.0, 0.5, math.nan):
+            with pytest.raises(ConfigError, match="gamma must exceed 1"):
+                L.MarginParams(gamma)
 
     def test_from_gamma(self):
         p = L.MarginParams.from_gamma(4.0)

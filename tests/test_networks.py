@@ -34,7 +34,7 @@ class TestBuildBundle:
         assert bundle.B.in_dim == 32 and bundle.B.out_dim == 16
         assert bundle.C.in_dim == 16 and bundle.C.out_dim == 2
         assert bundle.D.out_dim == 2
-        assert bundle.M.in_dim == 32 and bundle.M.saf_dim == 16
+        assert bundle.M.in_dim == 32 and bundle.M.estimator.in_dim == 16
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
