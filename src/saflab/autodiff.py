@@ -5,9 +5,10 @@ matrix product, bias add, elementwise activations, row softmax, dropout,
 batch normalization, gradient reversal, row gather/concat and a scalar
 sum, plus :func:`dense`, a whole MLP layer (matrix product,
 bias, optional batch norm, activation, optional dropout) fused into one
-operation.  Each operation records one backward closure on an explicit
-:class:`Tape`; :func:`backward` replays the tape in exact reverse order,
-accumulating gradients additively into every tensor that requires them.
+operation.  Each operation records one node on an explicit :class:`Tape`:
+its inputs, its output and its backward function.  :func:`backward` walks
+the nodes in exact reverse order, accumulating gradients additively into
+every tensor that requires them.
 :func:`dense` computes with the same array kernels as the primitive chain
 it replaces, so its values and gradients are bit-identical to that chain's.
 Everything is double precision so finite-difference checks at eps = 1e-5
@@ -71,46 +72,37 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def wrap(data: np.ndarray) -> Tensor:
-    """Tensor around ``data``, which must already be a 2-D float64 array.
-
-    Operations build their outputs this way: their results need none of
-    ``Tensor()``'s conversion and shape checks.
-    """
-    t = object.__new__(Tensor)
-    t.data = data
-    t.grad = None
-    t.requires_grad = False
-    return t
-
-
 class Tape:
-    """Ordered record of executed operations.
+    """Ordered record of ``(inputs, out, backward_fn)`` nodes.
 
     Operations append themselves in execution order, which is already a
-    topological order of the graph; the backward pass visits the record in
+    topological order of the graph; :func:`backward` visits the nodes in
     exact reverse order.
     """
 
     __slots__ = ("nodes",)
 
     def __init__(self):
-        self.nodes: list[Callable[[], None]] = []
+        self.nodes: list[tuple[Sequence[Tensor], Tensor, Callable]] = []
 
 
 def record_op(
     tape: Tape | None,
     inputs: Sequence[Tensor],
-    out: Tensor,
+    data: np.ndarray,
     backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
 ) -> Tensor:
-    """Register ``out = op(inputs)`` on ``tape``.
+    """The tensor ``out`` around ``data = op(inputs)``, registered on ``tape``.
 
-    ``backward_fn(g)`` receives dL/d(out) and returns one gradient per input
-    (``None`` for inputs that get none).  Gradients accumulate additively so
-    a tensor used several times collects the sum of its contributions.  This
-    is the extension point composite losses use to define fused operations.
+    ``data`` must already be a 2-D float64 array: it needs none of
+    ``Tensor()``'s conversion and shape checks.  ``backward_fn(g)`` receives
+    dL/d(out) and returns one gradient per input (``None`` for inputs that
+    get none).  This is the extension point composite losses use to define
+    fused operations.
     """
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
     for t in inputs:
         if t.requires_grad:
             out.requires_grad = True
@@ -118,29 +110,23 @@ def record_op(
     else:
         out.requires_grad = False
         return out
-    if tape is None:
-        return out
-
-    def node():
-        g = out.grad
-        if g is None:
-            return
-        for t, gi in zip(inputs, backward_fn(g)):
-            if gi is None or not t.requires_grad:
-                continue
-            t.grad = gi if t.grad is None else t.grad + gi
-
-    tape.nodes.append(node)
+    if tape is not None:
+        tape.nodes.append((inputs, out, backward_fn))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate dL/dx into every requires_grad tensor reachable from loss."""
+    """Accumulate dL/dx into every requires_grad tensor reachable from loss;
+    a tensor used several times collects the sum of its contributions."""
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar tensor, got {loss.shape}")
     loss.grad = np.ones((1, 1))
-    for node in reversed(tape.nodes):
-        node()
+    for inputs, out, backward_fn in reversed(tape.nodes):
+        if out.grad is None:
+            continue
+        for t, gi in zip(inputs, backward_fn(out.grad)):
+            if gi is not None and t.requires_grad:
+                t.grad = gi if t.grad is None else t.grad + gi
 
 
 # ---------------------------------------------------------------------------
@@ -227,89 +213,81 @@ def _bn_backward(g, gamma, xhat, ivar, training):
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = wrap(a.data @ b.data)
 
     def bwd(g):
         return g @ b.data.T, a.data.T @ g
 
-    return record_op(tape, (a, b), out, bwd)
+    return record_op(tape, (a, b), a.data @ b.data, bwd)
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    out = wrap(a.data + b.data)
 
     def bwd(g):
         return g, g
 
-    return record_op(tape, (a, b), out, bwd)
+    return record_op(tape, (a, b), a.data + b.data, bwd)
 
 
 def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     """x[m x n] + bias[1 x n], broadcast over rows."""
     if bias.rows != 1 or bias.cols != x.cols:
         raise ShapeError(f"bias must be 1x{x.cols}, got {bias.shape}")
-    out = wrap(x.data + bias.data)
 
     def bwd(g):
         return g, _colsum(g)
 
-    return record_op(tape, (x, bias), out, bwd)
+    return record_op(tape, (x, bias), x.data + bias.data, bwd)
 
 
 def scale_shift(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """Elementwise scale * x + shift with constant coefficients."""
-    out = wrap(scale * x.data + shift)
 
     def bwd(g):
         return (scale * g,)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), scale * x.data + shift, bwd)
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equal-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
-    out = wrap(a.data * b.data)
 
     def bwd(g):
         return g * b.data, g * a.data
 
-    return record_op(tape, (a, b), out, bwd)
+    return record_op(tape, (a, b), a.data * b.data, bwd)
 
 
 def mul_colvec(tape: Tape | None, x: Tensor, c: Tensor) -> Tensor:
     """x[m x n] * c[m x 1], column vector broadcast across features."""
     if c.cols != 1 or c.rows != x.rows:
         raise ShapeError(f"column vector must be {x.rows}x1, got {c.shape}")
-    out = wrap(x.data * c.data)
 
     def bwd(g):
         return g * c.data, (g * x.data).sum(axis=1, keepdims=True)
 
-    return record_op(tape, (x, c), out, bwd)
+    return record_op(tape, (x, c), x.data * c.data, bwd)
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
     y, gate = _relu(x.data)
-    out = wrap(y)
 
     def bwd(g):
         return (g * gate,)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), y, bwd)
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = wrap(s)
 
     def bwd(g):
         return (_sigmoid_grad(g, s),)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), s, bwd)
 
 
 def softmax_rows(tape: Tape | None, x: Tensor) -> Tensor:
@@ -318,13 +296,12 @@ def softmax_rows(tape: Tape | None, x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out = wrap(p)
 
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - dot),)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), p, bwd)
 
 
 def log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -344,19 +321,17 @@ def dropout(
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        out = wrap(x.data.copy())
 
         def bwd_id(g):
             return (g,)
 
-        return record_op(tape, (x,), out, bwd_id)
+        return record_op(tape, (x,), x.data.copy(), bwd_id)
     keep = _dropout_mask(x.shape, rate, rng)
-    out = wrap(x.data * keep)
 
     def bwd(g):
         return (g * keep,)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), x.data * keep, bwd)
 
 
 class BatchNormState:
@@ -383,12 +358,11 @@ def batch_norm(
     if g_t.shape != (1, x.cols) or b_t.shape != (1, x.cols):
         raise ShapeError(f"gamma/beta must be 1x{x.cols}")
     y, xhat, ivar = _bn_forward(x.data, g_t.data, b_t.data, state, training, momentum, eps)
-    out = wrap(y)
 
     def bwd(g):
         return _bn_backward(g, g_t.data, xhat, ivar, training)
 
-    return record_op(tape, (x, g_t, b_t), out, bwd)
+    return record_op(tape, (x, g_t, b_t), y, bwd)
 
 
 def dense(
@@ -429,7 +403,6 @@ def dense(
     if training and rate > 0.0:
         keep = _dropout_mask(y.shape, rate, rng)
         y = y * keep
-    out = wrap(y)
 
     def bwd(g):
         if keep is not None:
@@ -445,28 +418,25 @@ def dense(
         dx = g @ w.data.T if x.requires_grad else None
         return (dx, x.data.T @ g, _colsum(g)) + bn_grads
 
-    return record_op(tape, inputs, out, bwd)
+    return record_op(tape, inputs, y, bwd)
 
 
 def grad_reverse(tape: Tape | None, x: Tensor, lambda_d: float) -> Tensor:
     """Forward identity; backward multiplies the incoming gradient by -lambda_d."""
     if lambda_d < 0:
         raise ConfigError(f"gradient reversal coefficient must be >= 0, got {lambda_d}")
-    out = wrap(x.data.copy())
 
     def bwd(g):
         return (-lambda_d * g,)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), x.data.copy(), bwd)
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
-    out = Tensor([[x.data.sum()]])
-
     def bwd(g):
         return (np.full(x.shape, g[0, 0]),)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), np.array([[x.data.sum()]]), bwd)
 
 
 def take_rows(tape: Tape | None, x: Tensor, idx) -> Tensor:
@@ -474,26 +444,24 @@ def take_rows(tape: Tape | None, x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise ShapeError(f"row index out of range for {x.rows} rows")
-    out = wrap(x.data[idx])
 
     def bwd(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), x.data[idx], bwd)
 
 
 def concat_rows(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.cols:
         raise ShapeError(f"row concat needs equal widths, got {a.shape} and {b.shape}")
-    out = wrap(np.vstack([a.data, b.data]))
     m = a.rows
 
     def bwd(g):
         return g[:m], g[m:]
 
-    return record_op(tape, (a, b), out, bwd)
+    return record_op(tape, (a, b), np.vstack([a.data, b.data]), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .data import (
     gen_two_moons,
     load_csv,
     save_csv,
+    write_atomic,
 )
 from .embed import export_embeddings
 from .exceptions import SafLabError
@@ -99,9 +100,7 @@ def cmd_gen_data(args) -> int:
         "target": asdict(tgt_spec),
         "files": {"source": "source.csv", "target": "target.csv"},
     }
-    (out / "data_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "data_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'source.csv'}, {out / 'target.csv'}, {out / 'data_manifest.json'}")
     return 0
 
@@ -128,7 +127,7 @@ def cmd_train(args) -> int:
     else:
         source, target = load_datasets(cfg, base_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8")
+        write_atomic(out / "config.cfg", serialize_config(cfg))
         run_experiment(cfg.train, source, target, out)
         print(f"run complete -> {out}")
     return 0
@@ -183,7 +182,8 @@ def build_parser() -> _Parser:
     g.add_argument("--translate-x", type=float, default=0.0)
     g.add_argument("--translate-y", type=float, default=0.0)
     g.add_argument("--scale", type=float, default=1.0)
-    g.add_argument("--classes", type=int, default=2, help="gaussian_blobs class count (<= 3)")
+    g.add_argument("--classes", type=int, default=2, choices=range(2, len(_BLOB_CENTERS) + 1),
+                   help="gaussian_blobs class count")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)

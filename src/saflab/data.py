@@ -160,15 +160,15 @@ def save_csv(batch: Batch, path) -> None:
         if batch.labels is not None:
             cells.append(str(int(batch.labels[i])))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
     """Parse a feature CSV; the schema flag is explicit, never inferred.
 
     Rows are numbered from 1 counting the header line, so the first data row
-    is row 2.  Ragged rows, non-numeric cells and negative or fractional
-    labels raise CsvParseError naming the row.
+    is row 2.  Ragged rows, non-numeric or non-finite cells and negative or
+    fractional labels raise CsvParseError naming the row.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
@@ -207,6 +207,9 @@ def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
     if not feats:
         raise CsvParseError(f"{path}: no data rows")
     arr = np.array(feats, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise CsvParseError(f"{path}: row {bad[0] + 2}: non-finite cell")
     labs = np.array(labels, dtype=np.intp) if has_labels else None
     return Batch(arr, labs, domain_tag)
 

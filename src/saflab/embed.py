@@ -5,11 +5,9 @@ point CSV and a self-contained scatter SVG.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .data import Batch, SOURCE_TAG
+from .data import Batch, SOURCE_TAG, write_atomic
 from .exceptions import DataError
 from .networks import ModelBundle, forward_features
 
@@ -100,7 +98,7 @@ def export_embeddings(
             f"{float(projected[i, 0])!r},{float(projected[i, 1])!r},"
             f"{int(domains[i])},{int(labels[i])}"
         )
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out_csv, "\n".join(lines) + "\n")
     write_scatter_svg(projected, domains, labels, out_svg)
     return projected
 
@@ -135,4 +133,4 @@ def write_scatter_svg(points: np.ndarray, domains, labels, path,
     parts.append(f'<text x="{margin}" y="{margin - 10:.0f}" font-size="12" '
                  f'fill="#333">warm = source, cool = target; shade = class</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(parts) + "\n")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, concat_rows, log_softmax_rows, record_op, scale_shift, wrap
+from .autodiff import Tape, Tensor, add, concat_rows, log_softmax_rows, record_op, scale_shift
 from .exceptions import ConfigError, DataError, ShapeError
 
 
@@ -56,7 +56,7 @@ def cross_entropy(tape: Tape | None, logits: Tensor, labels) -> Tensor:
         raise DataError("cross entropy needs a non-empty batch")
     y = _check_labels(labels, k, m)
     ls = log_softmax_rows(logits.data)
-    out = wrap(np.array([[-(np.add.reduce(ls[np.arange(m), y], axis=None) / m)]]))
+    loss = np.array([[-(np.add.reduce(ls[np.arange(m), y], axis=None) / m)]])
 
     def bwd(g):
         gg = g[0, 0] / m
@@ -64,7 +64,7 @@ def cross_entropy(tape: Tape | None, logits: Tensor, labels) -> Tensor:
         grad[np.arange(m), y] -= 1.0
         return (gg * grad,)
 
-    return record_op(tape, (logits,), out, bwd)
+    return record_op(tape, (logits,), loss, bwd)
 
 
 def cross_entropy_divergence(tape: Tape | None, logits: Tensor, soft_labels) -> Tensor:
@@ -88,7 +88,7 @@ def cross_entropy_divergence(tape: Tape | None, logits: Tensor, soft_labels) -> 
     if worst > 1e-6:
         raise DataError(f"soft label rows must sum to 1 (worst deviation {worst:.3g})")
     ls = log_softmax_rows(logits.data)
-    out = wrap(np.array([[-np.add.reduce(ydata * ls, axis=None) / m]]))
+    loss = np.array([[-np.add.reduce(ydata * ls, axis=None) / m]])
 
     def bwd(g):
         gg = g[0, 0] / m
@@ -97,7 +97,7 @@ def cross_entropy_divergence(tape: Tape | None, logits: Tensor, soft_labels) -> 
         dy = -gg * ls
         return dlogits, dy
 
-    return record_op(tape, (logits, y_t), out, bwd)
+    return record_op(tape, (logits, y_t), loss, bwd)
 
 
 def dann_domain_loss(tape: Tape | None, d_logits_src: Tensor, d_logits_tgt: Tensor) -> Tensor:
@@ -139,7 +139,7 @@ def _complement_log_softmax_nll(tape: Tape | None, logits: Tensor, idx: np.ndarr
             s_rest = e_rest.sum(axis=1, keepdims=True)
             c[far] = e_rest / s_rest
             vals[far] = ((rest_max + np.log(s_rest)) - (full_max[far] + np.log(s_full[far])))[:, 0]
-    out = wrap(np.array([[-(np.add.reduce(vals, axis=None) / m)]]))
+    loss = np.array([[-(np.add.reduce(vals, axis=None) / m)]])
     p = e / s_full
     c[rows, idx] = 0.0
 
@@ -147,7 +147,7 @@ def _complement_log_softmax_nll(tape: Tape | None, logits: Tensor, idx: np.ndarr
         gg = g[0, 0] / m
         return (gg * (p - c),)
 
-    return record_op(tape, (logits,), out, bwd)
+    return record_op(tape, (logits,), loss, bwd)
 
 
 def mdd_adversarial_loss(

@@ -70,10 +70,10 @@ def aggregate(values: list[float]) -> tuple[float, float]:
 
 def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, base_dir=".") -> dict:
     """One run directory per seed plus manifest.json with the aggregates."""
+    source, target = load_datasets(cfg, base_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    source, target = load_datasets(cfg, base_dir)
-    (out_dir / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8")
+    write_atomic(out_dir / "config.cfg", serialize_config(cfg))
 
     def one(seed: int) -> dict:
         run_cfg = replace(cfg.train, seed=seed)

@@ -41,9 +41,8 @@ def assert_grad_close(analytic, numeric, rtol=FD_RTOL):
 def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     """Mean of every entry as a 1x1 tape op (a scalar loss for gradient tests)."""
     n = x.data.size
-    out = Tensor([[x.data.sum() / n]])
 
     def bwd(g):
         return (np.full(x.shape, g[0, 0] / n),)
 
-    return record_op(tape, (x,), out, bwd)
+    return record_op(tape, (x,), np.array([[x.data.sum() / n]]), bwd)

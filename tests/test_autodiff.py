@@ -451,6 +451,39 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(y, tape)
 
+    def test_inputs_without_grad_record_no_node(self, rng):
+        a, b = t(rng.normal(size=(2, 3)), grad=False), t(rng.normal(size=(2, 3)), grad=False)
+        tape = Tape()
+        out = ad.sum_all(tape, ad.relu(tape, ad.add(tape, a, b)))
+        assert not out.requires_grad
+        assert tape.nodes == []
+
+    def test_op_without_tape_requires_grad_and_records_nothing(self, rng):
+        x = t(rng.normal(size=(2, 3)))
+        tape = Tape()
+        y = ad.relu(None, x)
+        assert y.requires_grad
+        backward(ad.sum_all(tape, y), tape)
+        assert len(tape.nodes) == 1
+        np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+        assert x.grad is None
+
+    def test_branch_that_misses_the_loss_is_skipped(self, rng):
+        data = rng.normal(size=(3, 4))
+
+        def run(dead_branch):
+            x = t(data)
+            tape = Tape()
+            live = ad.sigmoid(tape, x)
+            if dead_branch:
+                dead = ad.sum_all(tape, ad.scale_shift(tape, x, 3.0, 1.0))
+            backward(ad.sum_all(tape, live), tape)
+            if dead_branch:
+                assert len(tape.nodes) == 4 and dead.grad is None
+            return x.grad
+
+        assert run(True).tobytes() == run(False).tobytes()
+
     def test_batch_split_averaging_matches_full_batch(self, rng):
         # mean-reduced losses: average of half-batch gradients == full gradient
         w_data = rng.normal(size=(3, 2))

@@ -80,13 +80,22 @@ class TestRunWithSeeds:
                     == (single / name).read_bytes()
 
 
+def _refuse_replace(src, dst):
+    raise OSError(f"cannot replace {dst}")
+
+
 class TestWholeOrNothing:
-    """model.txt, manifest.json and ablation.csv appear complete or not at all."""
+    """Every whole-file artifact appears complete or not at all."""
 
     @pytest.fixture
     def failing_replace(self, monkeypatch):
+        """Every os.replace fails but config.cfg's, so a run gets to its end."""
+        replace_ = os.replace
+
         def fail(src, dst):
-            raise OSError(f"cannot replace {dst}")
+            if os.path.basename(dst) == "config.cfg":
+                return replace_(src, dst)
+            _refuse_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", fail)
 
@@ -133,6 +142,24 @@ class TestWholeOrNothing:
         assert code == 2
         assert "cannot replace" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "metrics.csv"]
+
+    def test_gen_data_exits_two(self, tmp_path, capsys, failing_replace):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
+        assert "cannot replace" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_export_embeddings_exits_two(self, data_dir, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run_dir)]) == 0
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        out = tmp_path / "emb"
+        assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"),
+                     "--model", str(run_dir / "model.txt"),
+                     "--source", str(data_dir / "source.csv"),
+                     "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
+        assert "cannot replace" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestAblationGrid:
@@ -282,6 +309,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"saflab: error: {model}, line 2: {reason}"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("classes", ["1", "5"])
+    def test_gen_data_classes_out_of_range_is_usage_error(self, tmp_path, capsys, classes):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--kind", "gaussian_blobs", "--classes", classes,
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert f"argument --classes: invalid choice: {classes}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [None, "0..1"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_exits_two_writing_nothing(self, data_dir, tmp_path, capsys,
+                                                           cell, seeds):
+        source = data_dir / "source.csv"
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[3] = cell + lines[3][lines[3].index(","):]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)]
+        assert main(argv + (["--seeds", seeds] if seeds else [])) == 2
+        err = capsys.readouterr().err
+        assert err == f"saflab: error: {source}: row 4: non-finite cell\n"
+        assert not out.exists()
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:

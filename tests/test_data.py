@@ -1,5 +1,7 @@
 """Synthetic generators, the affine shift, CSV round-trips and batching."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,13 @@ class TestCsv:
         path.write_text("f0,f1\n1.0,2.0\nx,4.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 3"):
             load_csv(path, has_labels=False)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,1\n{cell},0\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=re.escape(f"{path}: row 4: non-finite cell")):
+            load_csv(path, has_labels=True)
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
