@@ -1,8 +1,8 @@
 """Train briefly, then project bottleneck activations to 2-D for a figure.
 
 The export centers the activations, finds the top two principal directions
-by power iteration, and writes both a point CSV and a standalone scatter
-SVG (warm colors = source, cool = target).
+with a dense symmetric eigensolve, and writes both a point CSV and a
+standalone scatter SVG (warm colors = source, cool = target).
 """
 
 import tempfile

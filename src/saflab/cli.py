@@ -14,21 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_config, documented_default_text, parse_pairs, serialize_config
+from .config import documented_default_text, parse_config, serialize_config
 from .data import (
     DomainSpec,
     SOURCE_TAG,
     TARGET_TAG,
+    csv_text,
     gen_gaussian_blobs,
     gen_two_moons,
     load_csv,
-    save_csv,
+    write_all,
     write_atomic,
 )
 from .embed import export_embeddings
 from .exceptions import SafLabError
 from .networks import build_bundle
-from .runs import load_datasets, run_ablation, run_with_seeds
+from .runs import load_datasets, load_hashed, run_ablation, run_with_seeds
 from .training import METRICS_HEADER, evaluate, run_experiment
 
 USAGE_EXIT = 1
@@ -66,12 +67,6 @@ def _parse_seeds(raw: str) -> list[int]:
     return seeds
 
 
-def _load_file_config(path: Path, overrides: dict[tuple[str, str], str]):
-    pairs = parse_pairs(path.read_text(encoding="utf-8"))
-    pairs.update(overrides)
-    return build_config(pairs)
-
-
 def cmd_gen_data(args) -> int:
     src_spec = DomainSpec(
         generator=args.kind,
@@ -93,34 +88,27 @@ def cmd_gen_data(args) -> int:
     else:
         src = gen_gaussian_blobs(src_spec, args.classes, _BLOB_CENTERS[: args.classes], SOURCE_TAG)
         tgt = gen_gaussian_blobs(tgt_spec, args.classes, _BLOB_CENTERS[: args.classes], TARGET_TAG)
-    save_csv(src, out / "source.csv")
-    save_csv(tgt, out / "target.csv")
     manifest = {
         "source": asdict(src_spec),
         "target": asdict(tgt_spec),
         "files": {"source": "source.csv", "target": "target.csv"},
     }
-    write_atomic(out / "data_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_all({
+        out / "source.csv": csv_text(src),
+        out / "target.csv": csv_text(tgt),
+        out / "data_manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    })
     print(f"wrote {out / 'source.csv'}, {out / 'target.csv'}, {out / 'data_manifest.json'}")
     return 0
 
 
-def _cli_overrides(args) -> dict[tuple[str, str], str]:
-    overrides: dict[tuple[str, str], str] = {}
-    if getattr(args, "saf", None) is not None:
-        overrides[("train", "saf")] = args.saf
-    if getattr(args, "backbone", None) is not None:
-        overrides[("model", "backbone")] = args.backbone
-    return overrides
-
-
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
-    cfg = _load_file_config(cfg_path, _cli_overrides(args))
+    cfg = parse_config(cfg_path.read_text(encoding="utf-8"))
     out = Path(args.out)
     base_dir = cfg_path.parent
     if args.seeds is not None:
-        manifest = run_with_seeds(cfg, args.seeds, out, base_dir)
+        manifest = run_with_seeds(cfg, args.seeds, out, load_hashed(cfg, base_dir))
         agg = manifest["aggregate"]
         print(f"{len(args.seeds)} runs -> {out}: mean tgt acc "
               f"{agg['mean_target_accuracy']:.4f} (sd {agg['sd_target_accuracy']:.4f})")
@@ -135,7 +123,7 @@ def cmd_train(args) -> int:
 
 def _load_model(args):
     """The config, both labeled datasets and the saved model that ``args`` name."""
-    cfg = _load_file_config(Path(args.config), {})
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     src = load_csv(args.source, has_labels=True, domain_tag=SOURCE_TAG)
     tgt = load_csv(args.target, has_labels=True, domain_tag=TARGET_TAG)
     bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
@@ -153,7 +141,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg_path = Path(args.config)
-    cfg = _load_file_config(cfg_path, {})
+    cfg = parse_config(cfg_path.read_text(encoding="utf-8"))
     table = run_ablation(cfg, args.seeds, Path(args.out), cfg_path.parent)
     print(table.read_text(encoding="utf-8"), end="")
     return 0
@@ -192,9 +180,6 @@ def build_parser() -> _Parser:
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--seeds", type=_parse_seeds, default=None, help="e.g. 0..4 or 0,1,2")
-    t.add_argument("--saf", choices=["on", "off"], default=None,
-                   help="override the config's train.saf")
-    t.add_argument("--backbone", choices=["dann", "mdd"], default=None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a saved model on labeled datasets")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, CsvParseError, DataError, StateError
+from .exceptions import ConfigError, CsvParseError, DataError
 
 SOURCE_TAG = 0
 TARGET_TAG = 1
@@ -148,7 +148,21 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def save_csv(batch: Batch, path) -> None:
+def write_all(files: dict) -> None:
+    """Write each ``path: text`` pair with :func:`write_atomic`, all or none:
+    on a failure the files this call has already replaced are removed."""
+    done = []
+    try:
+        for path, text in files.items():
+            write_atomic(path, text)
+            done.append(path)
+    except BaseException:
+        for path in done:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def csv_text(batch: Batch) -> str:
     """Header f0..f{d-1}[,label]; values rendered with shortest round-trip repr."""
     d = batch.dim
     cols = [f"f{i}" for i in range(d)]
@@ -160,7 +174,11 @@ def save_csv(batch: Batch, path) -> None:
         if batch.labels is not None:
             cells.append(str(int(batch.labels[i])))
         lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_csv(batch: Batch, path) -> None:
+    write_atomic(path, csv_text(batch))
 
 
 def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
@@ -214,18 +232,12 @@ def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
     return Batch(arr, labs, domain_tag)
 
 
-def batch_iterator(data: Batch, batch_size: int, shuffle: bool,
-                   rng: np.random.Generator | None = None):
-    """One epoch: an (optionally shuffled) partition, short final batch included."""
+def batch_iterator(data: Batch, batch_size: int, rng: np.random.Generator):
+    """One epoch: a shuffled partition, short final batch included."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     m = len(data)
-    if shuffle:
-        if rng is None:
-            raise StateError("shuffling needs an explicit rng")
-        order = rng.permutation(m)
-    else:
-        order = np.arange(m)
+    order = rng.permutation(m)
     for start in range(0, m, batch_size):
         yield data.subset(order[start:start + batch_size])
 
@@ -233,4 +245,4 @@ def batch_iterator(data: Batch, batch_size: int, shuffle: bool,
 def cycle_batches(data: Batch, batch_size: int, rng: np.random.Generator):
     """Endless epoch-shuffled batches; each epoch reshuffles independently."""
     while True:
-        yield from batch_iterator(data, batch_size, shuffle=True, rng=rng)
+        yield from batch_iterator(data, batch_size, rng)

@@ -1,5 +1,5 @@
 """2-D embedding export: bottleneck activations projected onto their top
-two principal directions (power iteration with deflation), written as a
+two principal directions (a dense symmetric eigensolve), written as a
 point CSV and a self-contained scatter SVG.
 """
 
@@ -7,51 +7,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Batch, SOURCE_TAG, write_atomic
+from .data import Batch, SOURCE_TAG, write_all
 from .exceptions import DataError
 from .networks import ModelBundle, forward_features
 
 # one color family per domain, shaded by class
 _SOURCE_COLORS = ["#c0392b", "#e67e22", "#d35400", "#a93226", "#f1948a"]
 _TARGET_COLORS = ["#2980b9", "#16a085", "#1f618d", "#117a65", "#85c1e9"]
+# scatter plot side and inner margin, in pixels
+_SIZE = 480
+_MARGIN = 30.0
 
 
-def power_iteration_top2(
-    cov: np.ndarray, tol: float = 1e-10, max_iter: int = 1000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-2 eigenpairs of a symmetric PSD matrix via power iteration.
+def power_iteration_top2(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-2 eigenpairs of a symmetric matrix, largest eigenvalue first.
 
-    The second direction comes from deflating the first:
-    cov' = cov - lam1 * v1 v1^T.
+    A dense solve: one ``np.linalg.eigh`` call (the name is kept for its callers).
+    Returns (components 2 x d, eigenvalues 2); each component's
+    largest-magnitude coordinate is positive.
     """
-    d = cov.shape[0]
-    rng = np.random.default_rng(0)
-    vecs, vals = [], []
-    work = cov.copy()
-    for _ in range(2):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                break
-            w /= norm
-            if w @ v < 0:
-                w = -w
-            if np.linalg.norm(w - v) < tol:
-                v = w
-                break
-            v = w
-        lam = float(v @ work @ v)
-        # deterministic sign: largest-magnitude coordinate positive
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        vecs.append(v)
-        vals.append(lam)
-        work = work - lam * np.outer(v, v)
-    return np.array(vecs), np.array(vals)
+    vals, vecs = np.linalg.eigh(cov)
+    comps = vecs[:, :-3:-1].T
+    pivots = comps[np.arange(comps.shape[0]), np.argmax(np.abs(comps), axis=1)]
+    return comps * np.where(pivots < 0, -1.0, 1.0)[:, None], vals[:-3:-1]
 
 
 def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,8 +38,9 @@ def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (projected n x 2, components 2 x d).
     """
     x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise DataError(f"projection needs at least 3 samples, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
+        raise DataError(f"projection needs at least 3 samples of at least 2 columns, "
+                        f"got shape {x.shape}")
     centered = x - x.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (x.shape[0] - 1)
     comps, _ = power_iteration_top2(cov)
@@ -81,7 +60,8 @@ def export_embeddings(
     out_csv,
     out_svg,
 ) -> np.ndarray:
-    """Write `x,y,domain,label` CSV plus a scatter SVG of the projection."""
+    """Write `x,y,domain,label` CSV plus a scatter SVG of the projection,
+    both or neither."""
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("embedding export needs labeled evaluation data")
     emb = np.vstack([
@@ -98,13 +78,12 @@ def export_embeddings(
             f"{float(projected[i, 0])!r},{float(projected[i, 1])!r},"
             f"{int(domains[i])},{int(labels[i])}"
         )
-    write_atomic(out_csv, "\n".join(lines) + "\n")
-    write_scatter_svg(projected, domains, labels, out_svg)
+    write_all({out_csv: "\n".join(lines) + "\n",
+               out_svg: scatter_svg(projected, domains, labels)})
     return projected
 
 
-def write_scatter_svg(points: np.ndarray, domains, labels, path,
-                      size: int = 480, margin: float = 30.0) -> None:
+def scatter_svg(points: np.ndarray, domains, labels) -> str:
     """Self-contained scatter plot; source in warm colors, target in cool."""
     pts = np.asarray(points, dtype=np.float64)
     domains = np.asarray(domains)
@@ -112,6 +91,7 @@ def write_scatter_svg(points: np.ndarray, domains, labels, path,
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
+    size, margin = _SIZE, _MARGIN
     inner = size - 2 * margin
 
     def to_px(p):
@@ -133,4 +113,4 @@ def write_scatter_svg(points: np.ndarray, domains, labels, path,
     parts.append(f'<text x="{margin}" y="{margin - 10:.0f}" font-size="12" '
                  f'fill="#333">warm = source, cool = target; shade = class</text>')
     parts.append("</svg>")
-    write_atomic(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -275,37 +274,6 @@ def axis_stump_grid(points: np.ndarray, points_per_axis: int = 64) -> list[AxisS
     return stumps
 
 
-def empirical_h_divergence(
-    samples_src,
-    samples_tgt,
-    hypotheses: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
-    points_per_axis: int = 64,
-) -> float:
-    """2*(1 - min over hypotheses of [source-0 fraction + target-1 fraction]).
-
-    Exhaustive enumeration over the hypothesis set.  The default set is
-    :func:`axis_stump_grid` over both samples, scored by counting rather than
-    by calling each stump, with bit-identical results: each column is sorted
-    once and the rows above a threshold are found by binary search.  A NaN
-    coordinate is never above a threshold, and a NaN threshold has no row
-    above it.  Close to 0 for indistinguishable sets, 2 for perfectly
-    separable ones.
-    """
-    s = _as_points(samples_src)
-    t = _as_points(samples_tgt)
-    if hypotheses is None:
-        return _stump_grid_h_divergence(s, t, points_per_axis)
-    hypotheses = list(hypotheses)
-    if not hypotheses:
-        raise ConfigError("hypothesis set must be non-empty")
-    best = math.inf
-    for h in hypotheses:
-        score = float((h(s) == 0).mean()) + float((h(t) == 1).mean())
-        if score < best:
-            best = score
-    return 2.0 * (1.0 - best)
-
-
 def _stump_thresholds(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     """``np.column_stack([np.linspace(l, h, num) for l, h in zip(lo, hi)])``
     in one expression.  Each column takes scalar linspace's own branch: a
@@ -330,10 +298,20 @@ def _rows_above(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(thr.T), 0, n_valid[:, None] - at_most)
 
 
-def _stump_grid_h_divergence(s: np.ndarray, t: np.ndarray, points_per_axis: int) -> float:
-    """The default stump enumeration as counts: a stump sends the rows with
-    x > threshold to one label and every other row, NaN included, to the
-    other, so each score is a sum of two count fractions."""
+def empirical_h_divergence(samples_src, samples_tgt, points_per_axis: int = 64) -> float:
+    """2*(1 - min over stumps of [source-0 fraction + target-1 fraction]).
+
+    Exhaustive enumeration over :func:`axis_stump_grid` of both samples,
+    scored by counting rather than by calling each stump, with bit-identical
+    results.  A stump sends the rows with x > threshold to one label and
+    every other row, NaN included, to the other, so each score is a sum of
+    two count fractions.  Each column is sorted once and the rows above a
+    threshold are found by binary search; a NaN threshold has no row above
+    it.  Close to 0 for indistinguishable sets, 2 for perfectly separable
+    ones.
+    """
+    s = _as_points(samples_src)
+    t = _as_points(samples_tgt)
     if s.shape[1] != t.shape[1]:
         raise ShapeError(f"domains have widths {s.shape[1]} and {t.shape[1]}")
     if points_per_axis < 1 or s.shape[1] == 0:

@@ -37,15 +37,19 @@ ABLATION = {
 ABLATION_VARIANTS = tuple(ABLATION)
 
 
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
     base = Path(base_dir)
     src = load_csv(base / cfg.source_path, has_labels=True, domain_tag=SOURCE_TAG)
     tgt = load_csv(base / cfg.target_path, has_labels=True, domain_tag=TARGET_TAG)
     return src, tgt
+
+
+def load_hashed(cfg: FileConfig, base_dir) -> tuple[Batch, Batch, dict[str, str]]:
+    """Both datasets and the sha256 of each file: the data of :func:`run_with_seeds`."""
+    base = Path(base_dir)
+    hashes = {name: hashlib.sha256((base / path).read_bytes()).hexdigest()
+              for name, path in (("source", cfg.source_path), ("target", cfg.target_path))}
+    return (*load_datasets(cfg, base), hashes)
 
 
 def final_target_accuracy(run_dir) -> float:
@@ -68,9 +72,10 @@ def aggregate(values: list[float]) -> tuple[float, float]:
     return mean, sd
 
 
-def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, base_dir=".") -> dict:
-    """One run directory per seed plus manifest.json with the aggregates."""
-    source, target = load_datasets(cfg, base_dir)
+def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, data) -> dict:
+    """One run directory per seed plus manifest.json with the aggregates;
+    ``data`` is what :func:`load_hashed` returns."""
+    source, target, hashes = data
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.cfg", serialize_config(cfg))
@@ -89,10 +94,7 @@ def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, base_dir=".") -> 
     mean, sd = aggregate(accs)
     manifest = {
         "config": {f"{s}.{k}": v for (s, k), v in sorted(cfg.pairs().items())},
-        "data_hashes": {
-            "source": file_sha256(Path(base_dir) / cfg.source_path),
-            "target": file_sha256(Path(base_dir) / cfg.target_path),
-        },
+        "data_hashes": hashes,
         "seeds": seeds,
         "runs": results,
         "aggregate": {"mean_target_accuracy": mean, "sd_target_accuracy": sd},
@@ -112,16 +114,18 @@ def ablation_config(base: FileConfig, variant: str) -> FileConfig:
 def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir=".") -> Path:
     """Controlled comparison: every variant over the same data and seeds.
 
-    A failing variant is recorded in the table with its error; the rest
-    proceed.  Writes ablation.csv and returns its path.
+    The data are loaded once, before anything is written, so a data error
+    raises.  A failing variant is recorded in the table with its error; the
+    rest proceed.  Writes ablation.csv and returns its path.
     """
+    data = load_hashed(base, base_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["variant,mean_tgt_acc,sd_tgt_acc,status"]
     for variant in ABLATION_VARIANTS:
         try:
             manifest = run_with_seeds(
-                ablation_config(base, variant), seeds, out_dir / variant, base_dir
+                ablation_config(base, variant), seeds, out_dir / variant, data
             )
             agg = manifest["aggregate"]
             rows.append(

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import saflab.data
 import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
@@ -57,7 +58,7 @@ class TestRunWithSeeds:
     def test_manifest_and_recompute(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
         out = tmp_path / "multi"
-        manifest = runs.run_with_seeds(cfg, [0, 1, 2], out, data_dir)
+        manifest = runs.run_with_seeds(cfg, [0, 1, 2], out, runs.load_hashed(cfg, data_dir))
         assert [r["seed"] for r in manifest["runs"]] == [0, 1, 2]
         accs = [runs.final_target_accuracy(out / f"seed_{s}") for s in (0, 1, 2)]
         mean, sd = runs.aggregate(accs)
@@ -70,7 +71,7 @@ class TestRunWithSeeds:
 
     def test_seed_runs_match_single_runs(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
-        runs.run_with_seeds(cfg, [0, 1], tmp_path / "multi", data_dir)
+        runs.run_with_seeds(cfg, [0, 1], tmp_path / "multi", runs.load_hashed(cfg, data_dir))
         source, target = runs.load_datasets(cfg, data_dir)
         for k in (0, 1):
             single = run_experiment(replace(cfg.train, seed=k), source, target,
@@ -132,7 +133,7 @@ class TestWholeOrNothing:
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
         out = tmp_path / "multi"
         with pytest.raises(OSError):
-            runs.run_with_seeds(cfg, [0, 1], out, data_dir)
+            runs.run_with_seeds(cfg, [0, 1], out, runs.load_hashed(cfg, data_dir))
         left = {p.relative_to(out).as_posix() for p in out.rglob("*")}
         assert left == {"config.cfg", "seed_0", "seed_0/metrics.csv"}
 
@@ -162,6 +163,44 @@ class TestWholeOrNothing:
         assert list(out.iterdir()) == []
 
 
+def _fail_second_write(monkeypatch):
+    """The second file that ``write_all`` writes cannot be replaced."""
+    write_atomic_ = saflab.data.write_atomic
+    written = []
+
+    def write(path, text):
+        written.append(path)
+        if len(written) == 2:
+            _refuse_replace(None, path)
+        write_atomic_(path, text)
+
+    monkeypatch.setattr(saflab.data, "write_atomic", write)
+
+
+class TestWholeSet:
+    """A command that writes a set of files leaves all of them or none."""
+
+    def test_gen_data_exits_two_leaving_no_file(self, tmp_path, capsys, monkeypatch):
+        _fail_second_write(monkeypatch)
+        out = tmp_path / "d"
+        assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
+        assert f"cannot replace {out / 'target.csv'}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_export_embeddings_exits_two_leaving_no_file(self, data_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run_dir)]) == 0
+        _fail_second_write(monkeypatch)
+        out = tmp_path / "emb"
+        assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"),
+                     "--model", str(run_dir / "model.txt"),
+                     "--source", str(data_dir / "source.csv"),
+                     "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
+        assert f"cannot replace {out / 'embeddings.svg'}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestAblationGrid:
     def test_exactly_ten_named_variants(self):
         assert len(runs.ABLATION_VARIANTS) == 10
@@ -186,6 +225,19 @@ class TestAblationGrid:
             == "only_certain"
         # transforms never mutate the base
         assert base.train.saf_enabled and base.train.mixup.mode == "saf"
+
+    def test_run_ablation_loads_each_dataset_once(self, data_dir, tmp_path, monkeypatch):
+        loaded = []
+        load_csv_ = runs.load_csv
+
+        def load_csv(path, *args, **kwargs):
+            loaded.append(path)
+            return load_csv_(path, *args, **kwargs)
+
+        monkeypatch.setattr(runs, "load_csv", load_csv)
+        cfg = parse_config((data_dir / "tiny.cfg").read_text())
+        runs.run_ablation(cfg, [0], tmp_path / "ablate", data_dir)
+        assert loaded == [data_dir / "source.csv", data_dir / "target.csv"]
 
     def test_run_ablation_table_and_controlled_comparison(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
@@ -257,12 +309,17 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1, 2]
 
-    def test_saf_flag_overrides_config(self, data_dir, tmp_path):
-        out = tmp_path / "run_off"
-        assert main(["train", "--config", str(data_dir / "tiny.cfg"),
-                     "--saf", "off", "--out", str(out)]) == 0
-        snapshot = parse_config((out / "config.cfg").read_text())
-        assert snapshot.train.saf_enabled is False
+    @pytest.mark.parametrize("flag, value", [("--saf", "off"), ("--backbone", "dann")])
+    def test_config_keys_are_not_train_flags(self, data_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(data_dir / "tiny.cfg"), flag, value,
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"saflab: error: unrecognized arguments: {flag} {value}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_eval_prints_metrics_row(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -334,6 +391,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"saflab: error: {source}: row 4: non-finite cell\n"
         assert not out.exists()
+
+    def test_ablate_data_error_exits_two_writing_nothing(self, data_dir, tmp_path, capsys):
+        source = data_dir / "source.csv"
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "abl"
+        assert main(["ablate", "--config", str(data_dir / "tiny.cfg"), "--seeds", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"saflab: error: {source}: row 4: non-finite cell\n"
+        assert not out.exists()
+
+    def test_export_embeddings_of_a_one_wide_bottleneck_exits_two(self, data_dir, tmp_path,
+                                                                   capsys):
+        cfg = data_dir / "narrow.cfg"
+        cfg.write_text(TINY_CFG.replace("bottleneck_dim = 3", "bottleneck_dim = 1"),
+                       encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "emb"
+        assert main(["export-embeddings", "--config", str(cfg),
+                     "--model", str(run_dir / "model.txt"),
+                     "--source", str(data_dir / "source.csv"),
+                     "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("saflab: error: projection needs at least 3 samples "
+                                           "of at least 2 columns, got shape (32, 1)\n")
+        assert list(out.iterdir()) == []
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -196,26 +196,26 @@ class TestCsv:
 class TestBatchIterator:
     def test_oversized_batch_is_whole_permutation(self, rng):
         data = Batch(rng.normal(size=(7, 2)), labels=rng.integers(0, 2, size=7))
-        batches = list(batch_iterator(data, 10, shuffle=True, rng=rng))
+        batches = list(batch_iterator(data, 10, rng))
         assert len(batches) == 1
         got = np.sort(batches[0].features, axis=0)
         np.testing.assert_array_equal(got, np.sort(data.features, axis=0))
 
     def test_sizes_partition_input(self, rng):
         data = Batch(rng.normal(size=(10, 2)))
-        sizes = [len(b) for b in batch_iterator(data, 3, shuffle=False)]
+        sizes = [len(b) for b in batch_iterator(data, 3, rng)]
         assert sizes == [3, 3, 3, 1]
 
     def test_same_seed_same_sequence(self, rng):
         data = Batch(rng.normal(size=(12, 2)), labels=rng.integers(0, 2, size=12))
-        seq1 = [b.features for b in batch_iterator(data, 4, True, np.random.default_rng(5))]
-        seq2 = [b.features for b in batch_iterator(data, 4, True, np.random.default_rng(5))]
+        seq1 = [b.features for b in batch_iterator(data, 4, np.random.default_rng(5))]
+        seq2 = [b.features for b in batch_iterator(data, 4, np.random.default_rng(5))]
         for a, b in zip(seq1, seq2):
             assert np.array_equal(a, b)
 
     def test_concatenation_is_permutation(self, rng):
         data = Batch(rng.normal(size=(11, 2)), labels=rng.integers(0, 2, size=11))
-        batches = list(batch_iterator(data, 4, shuffle=True, rng=rng))
+        batches = list(batch_iterator(data, 4, rng))
         stacked = np.vstack([b.features for b in batches])
         assert stacked.shape == data.features.shape
         np.testing.assert_array_equal(
@@ -225,5 +225,5 @@ class TestBatchIterator:
     def test_labels_follow_rows(self, rng):
         feats = np.arange(12.0).reshape(6, 2)
         data = Batch(feats, labels=np.arange(6))
-        for b in batch_iterator(data, 2, shuffle=True, rng=rng):
+        for b in batch_iterator(data, 2, rng):
             np.testing.assert_array_equal(b.features[:, 0], b.labels * 2.0)

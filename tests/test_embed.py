@@ -1,4 +1,4 @@
-"""Power-iteration PCA against a dense eigensolver, plus the export files."""
+"""The PCA against numpy's dense eigensolver, plus the export files."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from saflab.embed import (
     export_embeddings,
     pca_project_2d,
     power_iteration_top2,
-    write_scatter_svg,
+    scatter_svg,
 )
 
 from conftest import tiny_config
@@ -34,6 +34,25 @@ class TestPowerIteration:
                 )
             np.testing.assert_allclose(vals, np.sort(ew)[::-1][:2], atol=1e-8)
 
+    @pytest.mark.parametrize("diag", [(1.0, 0.5, 0.499), (1.0, 0.999, 0.2)])
+    def test_close_eigenvalues_match_eigh(self, diag):
+        # a small gap between the second and third eigenvalue (or the first
+        # and second) is where an iterative solve stops short of the axis
+        cov = np.diag(diag)
+        comps, vals = power_iteration_top2(cov)
+        ew, ev = np.linalg.eigh(cov)
+        top = ev[:, np.argsort(ew)[::-1][:2]].T
+        for i in range(2):
+            np.testing.assert_allclose(comps[i], _align_sign(top[i], comps[i]), atol=1e-8)
+        np.testing.assert_allclose(vals, diag[:2], atol=1e-8)
+
+    def test_largest_coordinate_is_positive(self, rng):
+        for _ in range(5):
+            x = rng.normal(size=(20, 4))
+            comps, _ = power_iteration_top2(np.cov(x, rowvar=False))
+            for c in comps:
+                assert c[np.argmax(np.abs(c))] > 0
+
     def test_components_orthonormal(self, rng):
         x = rng.normal(size=(50, 6))
         centered = x - x.mean(axis=0)
@@ -57,6 +76,10 @@ class TestProjection:
     def test_needs_three_samples(self, rng):
         with pytest.raises(DataError):
             pca_project_2d(rng.normal(size=(2, 4)))
+
+    def test_needs_two_columns(self, rng):
+        with pytest.raises(DataError, match="at least 2 columns"):
+            pca_project_2d(rng.normal(size=(10, 1)))
 
 
 class TestExport:
@@ -92,5 +115,5 @@ class TestExport:
 
     def test_svg_handles_degenerate_extent(self, tmp_path):
         pts = np.zeros((3, 2))
-        write_scatter_svg(pts, [0, 0, 1], [0, 1, 0], tmp_path / "flat.svg")
-        assert (tmp_path / "flat.svg").exists()
+        svg = scatter_svg(pts, [0, 0, 1], [0, 1, 0])
+        assert svg.count("<circle") == 3 and "nan" not in svg

@@ -49,7 +49,7 @@ GOLDEN_RUNS = {
 
 # sha256 of (embeddings.csv, embeddings.svg) exported from the mdd_saf model
 GOLDEN_EMBEDDINGS = (
-    "47fa5972f98ab4974d46a254a57fb359d26a116c37407ea7a20f0b3a10b7415d",
+    "0cbc1b7b91d641bf67b10dfcbe5a22c5de996de8e5e710d2a991a6e9222f51d4",
     "23344ffb3e88530916412e53396dfba74b545901ca5af6069c0e9cb5af4864de",
 )
 

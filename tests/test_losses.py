@@ -394,6 +394,13 @@ def _h_div_oracle(s, t_pts, stumps):
     return 2.0 * (1.0 - best)
 
 
+def _h_div_loop(s, t_pts, stumps):
+    """The stump enumeration as one vectorized call per stump, in the float
+    arithmetic the counting estimator must reproduce bit for bit."""
+    best = min(float((h(s) == 0).mean()) + float((h(t_pts) == 1).mean()) for h in stumps)
+    return 2.0 * (1.0 - best)
+
+
 class TestHDivergence:
     def test_identical_sets_give_zero(self, rng):
         pts = rng.normal(size=(50, 2))
@@ -409,10 +416,11 @@ class TestHDivergence:
         s = rng.normal(size=(25, 2))
         t_pts = rng.normal(loc=0.7, size=(30, 2))
         stumps = L.axis_stump_grid(np.vstack([s, t_pts]), 16)
-        fast = L.empirical_h_divergence(s, t_pts, stumps)
+        fast = L.empirical_h_divergence(s, t_pts, points_per_axis=16)
         slow = _h_div_oracle(s, t_pts, stumps)
         assert abs(fast - slow) < 1e-12
 
+    @pytest.mark.slow
     @given(st.data(), st.integers(1, 6), st.integers(1, 70))
     @settings(max_examples=200, deadline=None)
     def test_default_grid_is_bit_identical_to_the_loop(self, data, cols, points):
@@ -441,7 +449,7 @@ class TestHDivergence:
         with np.errstate(invalid="ignore"):
             stumps = L.axis_stump_grid(np.vstack([s, t_pts]), points)
             fast = L.empirical_h_divergence(s, t_pts, points_per_axis=points)
-        assert repr(fast) == repr(L.empirical_h_divergence(s, t_pts, stumps))
+        assert repr(fast) == repr(_h_div_loop(s, t_pts, stumps))
 
     @given(st.data(), st.integers(1, 6), st.integers(1, 70))
     @settings(max_examples=300, deadline=None)
@@ -469,7 +477,7 @@ class TestHDivergence:
         stumps = L.axis_stump_grid(np.vstack([s, t_pts]), 64)
         fast = L.empirical_h_divergence(s, t_pts)
         assert fast > 0.0
-        assert repr(fast) == repr(L.empirical_h_divergence(s, t_pts, stumps))
+        assert repr(fast) == repr(_h_div_loop(s, t_pts, stumps))
 
     def test_constant_column_leaves_other_thresholds_in_place(self):
         # on [-3.0, 0.2] with 39 points, threshold 19 is -1.4000000000000001;
@@ -493,8 +501,6 @@ class TestHDivergence:
         assert -2.0 <= val <= 2.0
 
     def test_empty_hypothesis_set_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            L.empirical_h_divergence(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), [])
         with pytest.raises(ConfigError):
             L.empirical_h_divergence(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
                                      points_per_axis=0)
