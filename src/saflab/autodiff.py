@@ -43,8 +43,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
         self.data = arr
@@ -170,7 +168,7 @@ _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 
 
-def _bn_forward(d, gamma, beta, state, training, momentum=_BN_MOMENTUM, eps=_BN_EPS):
+def _bn_forward(d, gamma, beta, state, training):
     """Batch norm of ``d``; returns (output, xhat, ivar).
 
     Training mode normalises with the batch statistics and folds them into
@@ -183,12 +181,12 @@ def _bn_forward(d, gamma, beta, state, training, momentum=_BN_MOMENTUM, eps=_BN_
         mu = _colsum(d) / n
         dev = d - mu
         var = _colsum(np.square(dev)) / n
-        state.mean = (1.0 - momentum) * state.mean + momentum * mu
-        state.var = (1.0 - momentum) * state.var + momentum * var
+        state.mean = (1.0 - _BN_MOMENTUM) * state.mean + _BN_MOMENTUM * mu
+        state.var = (1.0 - _BN_MOMENTUM) * state.var + _BN_MOMENTUM * var
     else:
         dev = d - state.mean
         var = state.var
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = dev * ivar
     return xhat * gamma + beta, xhat, ivar
 
@@ -351,13 +349,11 @@ def batch_norm(
     beta: "Parameter",
     state: BatchNormState,
     training: bool,
-    momentum: float = _BN_MOMENTUM,
-    eps: float = _BN_EPS,
 ) -> Tensor:
     g_t, b_t = gamma.tensor, beta.tensor
     if g_t.shape != (1, x.cols) or b_t.shape != (1, x.cols):
         raise ShapeError(f"gamma/beta must be 1x{x.cols}")
-    y, xhat, ivar = _bn_forward(x.data, g_t.data, b_t.data, state, training, momentum, eps)
+    y, xhat, ivar = _bn_forward(x.data, g_t.data, b_t.data, state, training)
 
     def bwd(g):
         return _bn_backward(g, g_t.data, xhat, ivar, training)
@@ -469,15 +465,14 @@ def concat_rows(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 
 
 class Parameter:
-    """Trainable tensor plus Nesterov velocity and a per-parameter LR factor."""
+    """Trainable tensor plus a per-parameter LR factor."""
 
-    __slots__ = ("name", "tensor", "velocity", "lr_multiplier")
+    __slots__ = ("name", "tensor", "lr_multiplier")
 
     def __init__(self, data, lr_multiplier: float = 1.0, name: str = ""):
         if lr_multiplier <= 0:
             raise ConfigError(f"lr multiplier must be positive, got {lr_multiplier}")
         self.tensor = Tensor(data, requires_grad=True)
-        self.velocity = np.zeros_like(self.tensor.data)
         self.lr_multiplier = float(lr_multiplier)
         self.name = name
 
@@ -488,10 +483,10 @@ class Parameter:
 class ParamBuffer:
     """Parameters packed, in order, into one contiguous float64 vector.
 
-    Packing copies each parameter's values into ``data`` and its velocity
-    into ``velocity``, then rebinds ``tensor.data`` and ``velocity`` to
-    views of them, so in-place writes through either side are shared.
-    ``lr_scale`` holds every element's lr multiplier.
+    Packing copies each parameter's values into ``data``, then rebinds its
+    ``tensor.data`` to a view of them, so in-place writes through either
+    side are shared.  ``velocity`` holds the optimizer's Nesterov velocity,
+    zero at the start, and ``lr_scale`` every element's lr multiplier.
     """
 
     __slots__ = ("params", "sizes", "data", "velocity", "lr_scale")
@@ -501,16 +496,14 @@ class ParamBuffer:
         self.sizes = [p.tensor.data.size for p in self.params]
         total = sum(self.sizes)
         self.data = np.empty(total)
-        self.velocity = np.empty(total)
+        self.velocity = np.zeros(total)
         self.lr_scale = np.repeat(np.array([p.lr_multiplier for p in self.params]), self.sizes)
         start = 0
         for p, size in zip(self.params, self.sizes):
             stop = start + size
             shape = p.tensor.data.shape
             self.data[start:stop] = p.tensor.data.ravel()
-            self.velocity[start:stop] = p.velocity.ravel()
             p.tensor.data = self.data[start:stop].reshape(shape)
-            p.velocity = self.velocity[start:stop].reshape(shape)
             start = stop
 
 

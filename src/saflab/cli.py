@@ -22,14 +22,13 @@ from .data import (
     csv_text,
     gen_gaussian_blobs,
     gen_two_moons,
-    load_csv,
     write_all,
     write_atomic,
 )
 from .embed import export_embeddings
 from .exceptions import SafLabError
 from .networks import build_bundle
-from .runs import load_datasets, load_hashed, run_ablation, run_with_seeds
+from .runs import load_datasets, load_fitted, load_hashed, run_ablation, run_with_seeds
 from .training import METRICS_HEADER, evaluate, run_experiment
 
 USAGE_EXIT = 1
@@ -81,13 +80,12 @@ def cmd_gen_data(args) -> int:
         scale=args.scale,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "two_moons":
         src = gen_two_moons(src_spec, SOURCE_TAG)
         tgt = gen_two_moons(tgt_spec, TARGET_TAG)
     else:
-        src = gen_gaussian_blobs(src_spec, args.classes, _BLOB_CENTERS[: args.classes], SOURCE_TAG)
-        tgt = gen_gaussian_blobs(tgt_spec, args.classes, _BLOB_CENTERS[: args.classes], TARGET_TAG)
+        src = gen_gaussian_blobs(src_spec, _BLOB_CENTERS[: args.classes], SOURCE_TAG)
+        tgt = gen_gaussian_blobs(tgt_spec, _BLOB_CENTERS[: args.classes], TARGET_TAG)
     manifest = {
         "source": asdict(src_spec),
         "target": asdict(tgt_spec),
@@ -124,8 +122,8 @@ def cmd_train(args) -> int:
 def _load_model(args):
     """The config, both labeled datasets and the saved model that ``args`` name."""
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    src = load_csv(args.source, has_labels=True, domain_tag=SOURCE_TAG)
-    tgt = load_csv(args.target, has_labels=True, domain_tag=TARGET_TAG)
+    src = load_fitted(cfg.train, args.source, SOURCE_TAG)
+    tgt = load_fitted(cfg.train, args.target, TARGET_TAG)
     bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
     bundle.load_params(args.model)
     return cfg, src, tgt, bundle
@@ -150,7 +148,6 @@ def cmd_ablate(args) -> int:
 def cmd_export_embeddings(args) -> int:
     _, src, tgt, bundle = _load_model(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     export_embeddings(bundle, src, tgt, out / "embeddings.csv", out / "embeddings.svg")
     print(f"wrote {out / 'embeddings.csv'} and {out / 'embeddings.svg'}")
     return 0

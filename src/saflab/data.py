@@ -112,13 +112,12 @@ def gen_two_moons(spec: DomainSpec, domain_tag: int = SOURCE_TAG) -> Batch:
     return Batch(points, labels, domain_tag)
 
 
-def gen_gaussian_blobs(
-    spec: DomainSpec, k: int, centers, domain_tag: int = SOURCE_TAG
-) -> Batch:
-    """k isotropic Gaussian classes centered at the shifted centers."""
+def gen_gaussian_blobs(spec: DomainSpec, centers, domain_tag: int = SOURCE_TAG) -> Batch:
+    """One isotropic Gaussian class at each shifted center."""
+    centers = np.asarray(centers, dtype=np.float64)
+    k = len(centers)
     if k < 2:
         raise ConfigError(f"need at least 2 classes, got {k}")
-    centers = np.asarray(centers, dtype=np.float64)
     if centers.shape != (k, 2):
         raise ConfigError(f"need {k} 2-D centers, got shape {centers.shape}")
     for i in range(k):
@@ -149,8 +148,11 @@ def write_atomic(path, text: str) -> None:
 
 
 def write_all(files: dict) -> None:
-    """Write each ``path: text`` pair with :func:`write_atomic`, all or none:
-    on a failure the files this call has already replaced are removed."""
+    """Write each ``path: text`` pair with :func:`write_atomic`, all or none: on
+    a failure the files and the directories this call has made are removed."""
+    made = [d for d in dict.fromkeys(Path(p).parent for p in files) if not d.exists()]
+    for d in made:
+        d.mkdir(parents=True, exist_ok=True)
     done = []
     try:
         for path, text in files.items():
@@ -159,21 +161,16 @@ def write_all(files: dict) -> None:
     except BaseException:
         for path in done:
             Path(path).unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
         raise
 
 
 def csv_text(batch: Batch) -> str:
-    """Header f0..f{d-1}[,label]; values rendered with shortest round-trip repr."""
-    d = batch.dim
-    cols = [f"f{i}" for i in range(d)]
-    if batch.labels is not None:
-        cols.append("label")
-    lines = [",".join(cols)]
-    for i in range(len(batch)):
-        cells = [repr(float(v)) for v in batch.features[i]]
-        if batch.labels is not None:
-            cells.append(str(int(batch.labels[i])))
-        lines.append(",".join(cells))
+    """Header f0..f{d-1},label; values rendered with shortest round-trip repr."""
+    lines = [",".join([f"f{i}" for i in range(batch.dim)] + ["label"])]
+    for row, label in zip(batch.features, batch.labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
     return "\n".join(lines) + "\n"
 
 
@@ -181,8 +178,8 @@ def save_csv(batch: Batch, path) -> None:
     write_atomic(path, csv_text(batch))
 
 
-def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
-    """Parse a feature CSV; the schema flag is explicit, never inferred.
+def load_csv(path, domain_tag: int) -> Batch:
+    """Parse a labeled feature CSV: feature columns, then a ``label`` column.
 
     Rows are numbered from 1 counting the header line, so the first data row
     is row 2.  Ragged rows, non-numeric or non-finite cells and negative or
@@ -194,12 +191,10 @@ def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
         raise CsvParseError(f"{path}: empty file")
     header = lines[0].split(",")
     width = len(header)
-    if has_labels:
-        if width < 2:
-            raise CsvParseError(f"{path}: row 1: need at least one feature and a label column")
-        if header[-1] != "label":
-            raise CsvParseError(f"{path}: row 1: last column must be 'label', got {header[-1]!r}")
-    feat_width = width - 1 if has_labels else width
+    if width < 2:
+        raise CsvParseError(f"{path}: row 1: need at least one feature and a label column")
+    if header[-1] != "label":
+        raise CsvParseError(f"{path}: row 1: last column must be 'label', got {header[-1]!r}")
     feats, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -208,28 +203,26 @@ def load_csv(path, has_labels: bool, domain_tag: int = SOURCE_TAG) -> Batch:
                 f"{path}: row {lineno}: expected {width} cells, got {len(cells)}"
             )
         try:
-            row = [float(c) for c in cells[:feat_width]]
+            row = [float(c) for c in cells[:-1]]
         except ValueError as exc:
             raise CsvParseError(f"{path}: row {lineno}: non-numeric cell ({exc})") from None
         feats.append(row)
-        if has_labels:
-            cell = cells[-1].strip()
-            try:
-                lab = int(cell)
-            except ValueError:
-                raise CsvParseError(f"{path}: row {lineno}: label {cell!r} is not an integer") \
-                    from None
-            if lab < 0:
-                raise CsvParseError(f"{path}: row {lineno}: label {lab} is negative")
-            labels.append(lab)
+        cell = cells[-1].strip()
+        try:
+            lab = int(cell)
+        except ValueError:
+            raise CsvParseError(f"{path}: row {lineno}: label {cell!r} is not an integer") \
+                from None
+        if lab < 0:
+            raise CsvParseError(f"{path}: row {lineno}: label {lab} is negative")
+        labels.append(lab)
     if not feats:
         raise CsvParseError(f"{path}: no data rows")
     arr = np.array(feats, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise CsvParseError(f"{path}: row {bad[0] + 2}: non-finite cell")
-    labs = np.array(labels, dtype=np.intp) if has_labels else None
-    return Batch(arr, labs, domain_tag)
+    return Batch(arr, np.array(labels, dtype=np.intp), domain_tag)
 
 
 def batch_iterator(data: Batch, batch_size: int, rng: np.random.Generator):

@@ -234,8 +234,6 @@ def empirical_mdd_estimate(delta_src: float, delta_tgt: float) -> float:
 def conditional_entropy(probs) -> np.ndarray:
     """Per-row H = -sum p log p with 0*log(0) := 0; in [0, log K]."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        p = p.reshape(1, -1)
     if p.min() < 0:
         raise DataError(f"probabilities must be non-negative, min={p.min()}")
     plogp = np.zeros_like(p)

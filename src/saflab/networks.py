@@ -47,7 +47,7 @@ class MLP:
     one ``(width, "relu" | "sigmoid" | "none", dropout, batch_norm)`` row each."""
 
     def __init__(self, in_dim: int, layers, rng: np.random.Generator,
-                 lr_multiplier: float = 1.0, name: str = "mlp"):
+                 lr_multiplier: float, name: str):
         self.name = name
         self.in_dim = in_dim
         self.layers: list[_Layer] = []
@@ -62,7 +62,6 @@ class MLP:
                 state = BatchNormState(width)
             self.layers.append(_Layer(w, b, act, rate, gamma, beta, state))
             fan_in = width
-        self.out_dim = fan_in
 
     def forward(self, tape: Tape | None, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -111,7 +110,7 @@ class SAFModule(_Blocks):
     """Parallel feature bottlenecks plus a sigmoid weight estimator."""
 
     def __init__(self, in_dim: int, saf_dim: int, count: int,
-                 rng: np.random.Generator, lr_multiplier: float = 10.0, name: str = "M"):
+                 rng: np.random.Generator, lr_multiplier: float, name: str):
         self.in_dim = in_dim
         self.bottlenecks = [MLP(in_dim, [(saf_dim, "relu", 0.0, False)], rng, lr_multiplier,
                                 f"{name}.s{i}") for i in range(count)]
@@ -234,10 +233,6 @@ def saf_weight(tape: Tape | None, m: SAFModule, phi1: Tensor, phi2: Tensor) -> T
     with k=2 this is S_eta(S1(phi1) + S2(phi2)); with k=1 both members share
     the single bottleneck; with k=4 each member feeds two.
     """
-    if phi1.shape != phi2.shape:
-        raise ShapeError(f"pair members must share a shape, got {phi1.shape} and {phi2.shape}")
-    if phi1.cols != m.in_dim:
-        raise ShapeError(f"mixup module expects width {m.in_dim}, got {phi1.cols}")
     k = len(m.bottlenecks)
     total = None
     for i in range(max(k, 2)):

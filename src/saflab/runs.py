@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import FileConfig, build_config, serialize_config
 from .data import Batch, load_csv, SOURCE_TAG, TARGET_TAG, write_atomic
 from .exceptions import DataError
-from .training import METRICS_HEADER, run_experiment
+from .training import METRICS_HEADER, TrainConfig, run_experiment
 
 # variant -> the config-file (section, key) pairs it overrides; full_saf is the base
 ABLATION = {
@@ -37,11 +37,24 @@ ABLATION = {
 ABLATION_VARIANTS = tuple(ABLATION)
 
 
+def load_fitted(config: TrainConfig, path, domain_tag: int) -> Batch:
+    """A labeled dataset, refused at load unless it fits the model of ``config``:
+    ``model.input_dim`` feature columns and labels below ``model.num_classes``."""
+    batch = load_csv(path, domain_tag)
+    row = int(batch.labels.argmax())
+    if batch.dim != config.input_dim:
+        raise DataError(f"{path}: row 1: {batch.dim} feature columns, but "
+                        f"model.input_dim = {config.input_dim}")
+    if batch.labels[row] >= config.num_classes:
+        raise DataError(f"{path}: row {row + 2}: label {batch.labels[row]}, but "
+                        f"model.num_classes = {config.num_classes}")
+    return batch
+
+
 def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
     base = Path(base_dir)
-    src = load_csv(base / cfg.source_path, has_labels=True, domain_tag=SOURCE_TAG)
-    tgt = load_csv(base / cfg.target_path, has_labels=True, domain_tag=TARGET_TAG)
-    return src, tgt
+    return (load_fitted(cfg.train, base / cfg.source_path, SOURCE_TAG),
+            load_fitted(cfg.train, base / cfg.target_path, TARGET_TAG))
 
 
 def load_hashed(cfg: FileConfig, base_dir) -> tuple[Batch, Batch, dict[str, str]]:
@@ -111,7 +124,7 @@ def ablation_config(base: FileConfig, variant: str) -> FileConfig:
     return build_config({**base.pairs(), **overrides}) if overrides else base
 
 
-def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir=".") -> Path:
+def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir) -> Path:
     """Controlled comparison: every variant over the same data and seeds.
 
     The data are loaded once, before anything is written, so a data error

@@ -348,8 +348,6 @@ def run_experiment(
     Fully deterministic given (config, data): all randomness flows from
     SeedSequence(config.seed).
     """
-    if source.labels is None:
-        raise DataError("the source dataset must be labeled")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
 from saflab.data import DomainSpec, gen_two_moons, save_csv, write_atomic
-from saflab.exceptions import StateError
+from saflab.exceptions import DataError, StateError
 from saflab.training import run_experiment
 
 
@@ -148,7 +149,7 @@ class TestWholeOrNothing:
         out = tmp_path / "d"
         assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
         assert "cannot replace" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_export_embeddings_exits_two(self, data_dir, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
@@ -160,7 +161,7 @@ class TestWholeOrNothing:
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert "cannot replace" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def _fail_second_write(monkeypatch):
@@ -185,6 +186,14 @@ class TestWholeSet:
         out = tmp_path / "d"
         assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
         assert f"cannot replace {out / 'target.csv'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_data_keeps_an_existing_out_dir(self, tmp_path, capsys, monkeypatch):
+        _fail_second_write(monkeypatch)
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
+        assert f"cannot replace {out / 'target.csv'}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_export_embeddings_exits_two_leaving_no_file(self, data_dir, tmp_path, capsys,
@@ -198,7 +207,7 @@ class TestWholeSet:
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert f"cannot replace {out / 'embeddings.svg'}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestAblationGrid:
@@ -255,6 +264,64 @@ class TestAblationGrid:
             hashes.add((m["data_hashes"]["source"], m["data_hashes"]["target"]))
             seeds.add(tuple(m["seeds"]))
         assert len(hashes) == 1 and len(seeds) == 1
+
+
+class TestDataMustFitTheConfig:
+    """A dataset that does not fit the model is refused at load, naming the
+    file, the row and the config key; no command writes anything.  The data
+    are checked before the model file is read, so none needs to exist."""
+
+    COMMANDS = {
+        "train": ["train"],
+        "train-seeds": ["train", "--seeds", "0..1"],
+        "ablate": ["ablate", "--seeds", "0"],
+        "eval": ["eval"],
+        "export-embeddings": ["export-embeddings"],
+    }
+
+    def run(self, command, cfg, data, out):
+        argv = [*self.COMMANDS[command], "--config", str(cfg)]
+        if command in ("eval", "export-embeddings"):
+            argv += ["--model", str(out.parent / "model.txt"),
+                     "--source", str(data / "source.csv"), "--target", str(data / "target.csv")]
+        if command != "eval":
+            argv += ["--out", str(out)]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_labels_beyond_num_classes_exit_two(self, tmp_path, capsys, command):
+        data = tmp_path / "blobs"
+        assert main(["gen-data", "--kind", "gaussian_blobs", "--classes", "3",
+                     "--samples", "16", "--out", str(data)]) == 0
+        (data / "tiny.cfg").write_text(TINY_CFG, encoding="utf-8")
+        lines = (data / "source.csv").read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(lines, start=1) if line.endswith(",2"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self.run(command, data / "tiny.cfg", data, out) == 2
+        assert capsys.readouterr().err == (f"saflab: error: {data / 'source.csv'}: row {row}: "
+                                           "label 2, but model.num_classes = 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_width_other_than_input_dim_exits_two(self, data_dir, tmp_path, capsys, command):
+        cfg = data_dir / "wide.cfg"
+        cfg.write_text(TINY_CFG.replace("[model]\n", "[model]\ninput_dim = 3\n"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert self.run(command, cfg, data_dir, out) == 2
+        assert capsys.readouterr().err == (f"saflab: error: {data_dir / 'source.csv'}: row 1: "
+                                           "2 feature columns, but model.input_dim = 3\n")
+        assert not out.exists()
+
+    def test_the_target_is_checked_too(self, data_dir):
+        target = data_dir / "target.csv"
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][:lines[2].rindex(",")] + ",5"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = parse_config((data_dir / "tiny.cfg").read_text())
+        with pytest.raises(DataError, match=re.escape(f"{target}: row 3: label 5, but ")):
+            runs.load_datasets(cfg, data_dir)
 
 
 class TestCli:
@@ -418,7 +485,7 @@ class TestCli:
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("saflab: error: projection needs at least 3 samples "
                                            "of at least 2 columns, got shape (32, 1)\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from saflab import Batch, ConfigError, CsvParseError, DomainSpec
 from saflab.data import (
+    SOURCE_TAG,
     TARGET_TAG,
     affine_transform,
     batch_iterator,
@@ -96,20 +97,20 @@ class TestGaussianBlobs:
     def test_zero_noise_hits_transformed_centers(self):
         spec = DomainSpec(n_samples=9, noise_sd=0.0, rotation_deg=90.0, scale=2.0,
                           translation=(1.0, -1.0))
-        batch = gen_gaussian_blobs(spec, 3, self.CENTERS)
+        batch = gen_gaussian_blobs(spec, self.CENTERS)
         moved = affine_transform(np.asarray(self.CENTERS), spec)
         for i in range(3):
             pts = batch.features[batch.labels == i]
             np.testing.assert_allclose(pts, np.tile(moved[i], (len(pts), 1)), atol=1e-12)
 
     def test_counts_balanced_within_one(self):
-        batch = gen_gaussian_blobs(DomainSpec(n_samples=10), 3, self.CENTERS)
+        batch = gen_gaussian_blobs(DomainSpec(n_samples=10), self.CENTERS)
         counts = np.bincount(batch.labels)
         assert counts.max() - counts.min() <= 1
 
     def test_class_means_near_centers(self):
         spec = DomainSpec(n_samples=3000, noise_sd=0.2, seed=2)
-        batch = gen_gaussian_blobs(spec, 3, self.CENTERS)
+        batch = gen_gaussian_blobs(spec, self.CENTERS)
         for i, c in enumerate(self.CENTERS):
             pts = batch.features[batch.labels == i]
             bound = 4 * spec.noise_sd / np.sqrt(len(pts))
@@ -117,7 +118,7 @@ class TestGaussianBlobs:
 
     def test_duplicate_centers_rejected(self):
         with pytest.raises(ConfigError):
-            gen_gaussian_blobs(DomainSpec(n_samples=8), 2, [(0.0, 0.0), (0.0, 0.0)])
+            gen_gaussian_blobs(DomainSpec(n_samples=8), [(0.0, 0.0), (0.0, 0.0)])
 
 
 class TestCsv:
@@ -125,7 +126,7 @@ class TestCsv:
         batch = Batch(rng.normal(size=(2, 3)) * 1e-7, labels=[1, 0])
         path = tmp_path / "d.csv"
         save_csv(batch, path)
-        loaded = load_csv(path, has_labels=True)
+        loaded = load_csv(path, SOURCE_TAG)
         assert np.array_equal(loaded.features, batch.features)
         assert np.array_equal(loaded.labels, batch.labels)
         save_csv(loaded, tmp_path / "d2.csv")
@@ -137,60 +138,47 @@ class TestCsv:
         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
          1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300])
 
-    @given(st.data(), st.integers(1, 40), st.integers(1, 6), st.booleans())
+    @given(st.data(), st.integers(1, 40), st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
-    def test_round_trip_property(self, tmp_path_factory, data, rows, cols, labeled):
+    def test_round_trip_property(self, tmp_path_factory, data, rows, cols):
         feats = data.draw(hnp.arrays(np.float64, (rows, cols), elements=self._cells))
-        labels = (data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
-                  if labeled else None)
+        labels = data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         save_csv(Batch(feats, labels=labels), path)
-        loaded = load_csv(path, has_labels=labeled)
+        loaded = load_csv(path, SOURCE_TAG)
         assert loaded.features.tobytes() == feats.tobytes()
-        if labeled:
-            assert loaded.labels.tolist() == labels
-        else:
-            assert loaded.labels is None
-
-    def test_schema_is_explicit_not_inferred(self, tmp_path, rng):
-        batch = Batch(rng.normal(size=(4, 2)), labels=[0, 1, 0, 1])
-        path = tmp_path / "d.csv"
-        save_csv(batch, path)
-        unlabeled = load_csv(path, has_labels=False)
-        assert unlabeled.labels is None
-        assert unlabeled.features.shape == (4, 3)
-        np.testing.assert_array_equal(unlabeled.features[:, 2], [0.0, 1.0, 0.0, 1.0])
+        assert loaded.labels.tolist() == labels
 
     def test_ragged_row_names_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0,f1\n1.0,2.0\n3.0\n", encoding="utf-8")
+        path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,1\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 3"):
-            load_csv(path, has_labels=False)
+            load_csv(path, SOURCE_TAG)
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0,f1\n1.0,2.0\nx,4.0\n", encoding="utf-8")
+        path.write_text("f0,f1,label\n1.0,2.0,0\nx,4.0,1\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 3"):
-            load_csv(path, has_labels=False)
+            load_csv(path, SOURCE_TAG)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_row(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,label\n1.0,0\n2.0,1\n{cell},0\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match=re.escape(f"{path}: row 4: non-finite cell")):
-            load_csv(path, has_labels=True)
+            load_csv(path, SOURCE_TAG)
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,-1\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 2"):
-            load_csv(path, has_labels=True)
+            load_csv(path, SOURCE_TAG)
 
     def test_label_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1\n1.0,2.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 1"):
-            load_csv(path, has_labels=True)
+            load_csv(path, SOURCE_TAG)
 
 
 class TestBatchIterator:

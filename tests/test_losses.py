@@ -364,10 +364,10 @@ class TestConditionalEntropy:
 
     def test_uniform_maximizes(self, rng):
         k = 5
-        uniform = np.full(k, 1.0 / k)
+        uniform = np.full((1, k), 1.0 / k)
         h_max = L.conditional_entropy(uniform)[0]
         for _ in range(40):
-            delta = rng.normal(size=k) * 1e-3
+            delta = rng.normal(size=(1, k)) * 1e-3
             delta -= delta.mean()
             if np.allclose(delta, 0):
                 continue

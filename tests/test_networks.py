@@ -30,10 +30,8 @@ class TestBuildBundle:
     def test_default_desk_seams(self):
         cfg = tiny_config(f_widths=(64, 32), bottleneck_dim=16, saf_dim=16)
         bundle = build_bundle(cfg, np.random.default_rng(0))
-        assert bundle.F.in_dim == 2 and bundle.F.out_dim == 32
-        assert bundle.B.in_dim == 32 and bundle.B.out_dim == 16
-        assert bundle.C.in_dim == 16 and bundle.C.out_dim == 2
-        assert bundle.D.out_dim == 2
+        assert [block.in_dim for block in (bundle.F, bundle.B, bundle.C)] == [2, 32, 16]
+        assert [block.layers[-1].w.tensor.cols for block in bundle.blocks[:4]] == [32, 16, 2, 2]
         assert bundle.M.in_dim == 32 and bundle.M.estimator.in_dim == 16
 
     def test_single_class_rejected(self):
@@ -62,7 +60,6 @@ class TestBuildBundle:
 
     def test_mdd_adversary_mirrors_classifier(self):
         bundle = build_bundle(tiny_config(backbone="mdd"), np.random.default_rng(0))
-        assert bundle.D.out_dim == bundle.C.out_dim
         assert [l.w.tensor.shape for l in bundle.D.layers] == \
                [l.w.tensor.shape for l in bundle.C.layers]
 
@@ -74,7 +71,7 @@ class TestForwardFeatures:
             layer.w.tensor.data[:] = 0.0
             layer.b.tensor.data[:] = 0.0
         out = nets.forward_features(None, bundle, np.ones((3, 2)))
-        np.testing.assert_array_equal(out.data, np.zeros((3, bundle.F.out_dim)))
+        np.testing.assert_array_equal(out.data, np.zeros((3, cfg.f_widths[-1])))
 
     def test_row_independence(self, tiny_bundle, rng):
         bundle, _ = tiny_bundle
@@ -89,9 +86,9 @@ class TestForwardFeatures:
             nets.forward_features(None, bundle, np.ones((3, 7)))
 
     def test_accepts_batches(self, tiny_bundle, rng):
-        bundle, _ = tiny_bundle
+        bundle, cfg = tiny_bundle
         batch = Batch(rng.normal(size=(4, 2)))
-        assert nets.forward_features(None, bundle, batch).shape == (4, bundle.F.out_dim)
+        assert nets.forward_features(None, bundle, batch).shape == (4, cfg.f_widths[-1])
 
     def test_first_layer_fd(self, tiny_bundle, rng):
         bundle, _ = tiny_bundle
@@ -303,9 +300,18 @@ def _moons(n=16):
     return src, tgt.without_labels()
 
 
-def _state(block):
+def _velocities(bundle):
+    """Each parameter's slice of the buffer's velocity, by name."""
+    buf = bundle.buffer
+    stops = np.cumsum(buf.sizes)
+    return {p.name: buf.velocity[stop - size:stop]
+            for p, size, stop in zip(buf.params, buf.sizes, stops)}
+
+
+def _state(bundle, block):
     """Bytes of every parameter's values and velocity."""
-    return [(p.tensor.data.tobytes(), p.velocity.tobytes()) for p in block.parameters()]
+    velocity = _velocities(bundle)
+    return [(p.tensor.data.tobytes(), velocity[p.name].tobytes()) for p in block.parameters()]
 
 
 class TestParamBuffer:
@@ -317,14 +323,12 @@ class TestParamBuffer:
         total = sum(p.tensor.data.size for p in params)
         assert buf.data.shape == buf.velocity.shape == buf.lr_scale.shape == (total,)
         buf.data[:] = np.arange(total)
-        buf.velocity[:] = -np.arange(total)
+        assert not buf.velocity.any()
         start = 0
         for p in params:
             stop = start + p.tensor.data.size
             assert np.shares_memory(p.tensor.data, buf.data), p.name
-            assert np.shares_memory(p.velocity, buf.velocity), p.name
             assert np.array_equal(p.tensor.data.ravel(), np.arange(start, stop)), p.name
-            assert np.array_equal(p.velocity.ravel(), -np.arange(start, stop)), p.name
             assert np.all(buf.lr_scale[start:stop] == p.lr_multiplier), p.name
             start = stop
 
@@ -361,11 +365,12 @@ class TestParamBuffer:
         step_rng = np.random.default_rng(1)
         for t in (1, 2):
             train_step(bundle, src, tgt, cfg, t, step_rng)
-        assert any(np.abs(p.velocity).max() > 0 for p in bundle.D.parameters())
-        d_before, f_before = _state(bundle.D), _state(bundle.F)
+        velocity = _velocities(bundle)
+        assert any(np.abs(velocity[p.name]).max() > 0 for p in bundle.D.parameters())
+        d_before, f_before = _state(bundle, bundle.D), _state(bundle, bundle.F)
         assert train_step(bundle, src, tgt, cfg, 0, step_rng)["lambda_d"] == 0.0
-        assert _state(bundle.D) == d_before
-        assert _state(bundle.F) != f_before
+        assert _state(bundle, bundle.D) == d_before
+        assert _state(bundle, bundle.F) != f_before
 
     def test_weight_module_keeps_its_bytes_without_mixed_rows(self):
         # an only_certain filter at threshold 0.01 keeps fewer than 2 rows of
@@ -378,8 +383,9 @@ class TestParamBuffer:
         step_rng = np.random.default_rng(1)
         for t in (1, 2):
             train_step(bundle, src, tgt, cfg, t, step_rng)
-        assert any(np.abs(p.velocity).max() > 0 for p in bundle.M.parameters())
-        m_before, f_before = _state(bundle.M), _state(bundle.F)
+        velocity = _velocities(bundle)
+        assert any(np.abs(velocity[p.name]).max() > 0 for p in bundle.M.parameters())
+        m_before, f_before = _state(bundle, bundle.M), _state(bundle, bundle.F)
         assert train_step(bundle, src, tgt, strict, 3, step_rng)["eps_m"] == 0.0
-        assert _state(bundle.M) == m_before
-        assert _state(bundle.F) != f_before
+        assert _state(bundle, bundle.M) == m_before
+        assert _state(bundle, bundle.F) != f_before

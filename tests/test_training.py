@@ -82,7 +82,7 @@ class TestTrainStep:
 
         bundle_b = build_bundle(cfg, np.random.default_rng(3))
         rng_b = np.random.default_rng(7)
-        from saflab.autodiff import ParamBuffer, sgd_nesterov_step
+        from saflab.autodiff import sgd_nesterov_step
 
         for _ in range(6):
             tape = Tape()
@@ -90,8 +90,7 @@ class TestTrainStep:
             logits = classify(tape, bundle_b, feats, training=True, rng=rng_b)
             loss = cross_entropy(tape, logits, src.labels)
             backward(loss, tape)
-            trained = [p for p in bundle_b.parameters() if p.tensor.grad is not None]
-            sgd_nesterov_step(ParamBuffer(trained), cfg.base_lr, cfg.momentum)
+            sgd_nesterov_step(bundle_b.buffer, cfg.base_lr, cfg.momentum)
 
         for (n1, a1), (n2, a2) in zip(bundle_a.named_arrays(), bundle_b.named_arrays()):
             assert np.array_equal(a1, a2), n1
@@ -128,13 +127,15 @@ class TestTrainStep:
         total = ad.add(tape, ad.add(tape, eps_c, eps_d), ad.scale_shift(tape, eps_m, lam_m))
         backward(total, tape)
 
-        for p in bundle_b.parameters():
+        buf = bundle_b.buffer
+        for p, size, stop in zip(buf.params, buf.sizes, np.cumsum(buf.sizes)):
             if p.tensor.grad is None:
                 continue
             lr = cfg.base_lr * p.lr_multiplier
-            v = cfg.momentum * p.velocity - lr * p.tensor.grad
+            velocity = buf.velocity[stop - size:stop].reshape(p.tensor.shape)
+            v = cfg.momentum * velocity - lr * p.tensor.grad
             p.tensor.data += cfg.momentum * v - lr * p.tensor.grad
-            p.velocity = v
+            velocity[...] = v
             p.tensor.grad = None
 
         for (n1, a1), (n2, a2) in zip(bundle_a.named_arrays(), bundle_b.named_arrays()):
