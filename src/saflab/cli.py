@@ -22,11 +22,12 @@ from .data import (
     csv_text,
     gen_gaussian_blobs,
     gen_two_moons,
+    read_text,
     write_all,
     write_atomic,
 )
 from .embed import export_embeddings
-from .exceptions import SafLabError
+from .exceptions import ConfigError, SafLabError
 from .networks import build_bundle
 from .runs import load_datasets, load_fitted, load_hashed, run_ablation, run_with_seeds
 from .training import METRICS_HEADER, evaluate, run_experiment
@@ -102,7 +103,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
-    cfg = parse_config(cfg_path.read_text(encoding="utf-8"))
+    cfg = parse_config(read_text(cfg_path, ConfigError))
     out = Path(args.out)
     base_dir = cfg_path.parent
     if args.seeds is not None:
@@ -121,7 +122,7 @@ def cmd_train(args) -> int:
 
 def _load_model(args):
     """The config, both labeled datasets and the saved model that ``args`` name."""
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = parse_config(read_text(args.config, ConfigError))
     src = load_fitted(cfg.train, args.source, SOURCE_TAG)
     tgt = load_fitted(cfg.train, args.target, TARGET_TAG)
     bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
@@ -139,7 +140,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg_path = Path(args.config)
-    cfg = parse_config(cfg_path.read_text(encoding="utf-8"))
+    cfg = parse_config(read_text(cfg_path, ConfigError))
     table = run_ablation(cfg, args.seeds, Path(args.out), cfg_path.parent)
     print(table.read_text(encoding="utf-8"), end="")
     return 0

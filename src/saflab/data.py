@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, CsvParseError, DataError
+from .exceptions import ConfigError, CsvParseError, DataError, SafLabError
 
 SOURCE_TAG = 0
 TARGET_TAG = 1
@@ -134,6 +134,15 @@ def gen_gaussian_blobs(spec: DomainSpec, centers, domain_tag: int = SOURCE_TAG) 
     return Batch(np.vstack(chunks), np.concatenate(labels), domain_tag)
 
 
+def read_text(path, error: type[SafLabError]) -> str:
+    """A UTF-8 file's text, its newlines translated as ``open`` translates them."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def write_atomic(path, text: str) -> None:
     """Write `text` whole or not at all: a temp file beside `path`, then
     `os.replace` over it.  On failure the temp file is removed."""
@@ -149,10 +158,10 @@ def write_atomic(path, text: str) -> None:
 
 def write_all(files: dict) -> None:
     """Write each ``path: text`` pair with :func:`write_atomic`, all or none: on
-    a failure the files and the directories this call has made are removed."""
-    made = [d for d in dict.fromkeys(Path(p).parent for p in files) if not d.exists()]
+    a failure the files and every directory this call has made are removed."""
+    made = sorted({d for p in files for d in Path(p).parents if not d.exists()})  # parents first
     for d in made:
-        d.mkdir(parents=True, exist_ok=True)
+        d.mkdir(exist_ok=True)
     done = []
     try:
         for path, text in files.items():
@@ -161,7 +170,7 @@ def write_all(files: dict) -> None:
     except BaseException:
         for path in done:
             Path(path).unlink(missing_ok=True)
-        for d in made:
+        for d in reversed(made):
             d.rmdir()
         raise
 
@@ -185,8 +194,7 @@ def load_csv(path, domain_tag: int) -> Batch:
     is row 2.  Ragged rows, non-numeric or non-finite cells and negative or
     fractional labels raise CsvParseError naming the row.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    lines = [ln for ln in read_text(path, CsvParseError).splitlines() if ln.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
     header = lines[0].split(",")

@@ -47,12 +47,6 @@ def pca_project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered @ comps.T, comps
 
 
-def bottleneck_embeddings(bundle: ModelBundle, batch: Batch) -> np.ndarray:
-    """Eval-mode bottleneck activations for a batch."""
-    feats = forward_features(None, bundle, batch)
-    return bundle.B.forward(None, feats).data
-
-
 def export_embeddings(
     bundle: ModelBundle,
     src_eval: Batch,
@@ -64,10 +58,9 @@ def export_embeddings(
     both or neither."""
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("embedding export needs labeled evaluation data")
-    emb = np.vstack([
-        bottleneck_embeddings(bundle, src_eval),
-        bottleneck_embeddings(bundle, tgt_eval),
-    ])
+    # eval-mode bottleneck activations
+    emb = np.vstack([bundle.B.forward(None, forward_features(None, bundle, batch)).data
+                     for batch in (src_eval, tgt_eval)])
     domains = np.repeat([src_eval.domain, tgt_eval.domain], [len(src_eval), len(tgt_eval)])
     labels = np.concatenate([src_eval.labels, tgt_eval.labels])
     projected, _ = pca_project_2d(emb)

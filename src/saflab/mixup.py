@@ -137,13 +137,8 @@ def saf_mixup_batch(
     as extractor features and labelled by :func:`pseudo_label_probs`.
     """
     k = bundle.num_classes
-    width = bundle.M.in_dim
     if target_features.rows == 0:
         raise DataError("mixup needs a non-empty target feature batch")
-    if target_features.cols != width:
-        raise ShapeError(
-            f"target features have width {target_features.cols}, mixup expects {width}"
-        )
     if pseudo_probs is None:
         probs = pseudo_label_probs(bundle, target_features.data)
     else:
@@ -166,8 +161,6 @@ def saf_mixup_batch(
     if policy.include_source:
         if src_features is None or src_labels is None:
             raise DataError("include_source mixup needs source features and labels")
-        if src_features.cols != width:
-            raise ShapeError(f"source features have width {src_features.cols}, expected {width}")
         labels = np.asarray(src_labels, dtype=np.intp)
         pool = ad.concat_rows(tape, target_features, src_features)
         pool_ids = np.concatenate([kept, target_features.rows + np.arange(src_features.rows)])
@@ -175,7 +168,7 @@ def saf_mixup_batch(
 
     n = pool_ids.size
     if n == 0:
-        return MixedBatch.empty(width, k)
+        return MixedBatch.empty(target_features.cols, k)
 
     a_pos, b_pos = draw_pair_positions(n, rng)
     ids_a, ids_b = pool_ids[a_pos], pool_ids[b_pos]

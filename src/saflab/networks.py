@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Parameter, ParamBuffer, Tape, Tensor
-from .data import write_atomic
+from .data import read_text, write_atomic
 from .exceptions import DataError, ShapeError, StateError
 
 
@@ -144,28 +144,27 @@ class ModelBundle(_Blocks):
         write_atomic(path, "\n".join(lines) + "\n")
 
     def load_params(self, path) -> None:
-        with open(path, "r", encoding="utf-8") as f:
-            records = {}
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(" ")
-                where = f"{path}, line {lineno}"
-                if len(parts) < 3:
-                    raise DataError(f"{where}: a record needs a name, rows and cols")
-                name = parts[0]
-                try:
-                    what = "shape"
-                    rows, cols = int(parts[1]), int(parts[2])
-                    what = "value"
-                    vals = np.array([float(v) for v in parts[3:]])
-                except ValueError as exc:
-                    raise DataError(f"{where}: bad {what} in record {name!r}: {exc}") from None
-                if min(rows, cols) < 0 or vals.size != rows * cols:
-                    raise DataError(f"{where}: record {name!r} has {vals.size} values for shape "
-                                    f"{rows}x{cols}")
-                records[name] = vals.reshape(rows, cols)
+        records = {}
+        for lineno, line in enumerate(read_text(path, DataError).split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(" ")
+            where = f"{path}, line {lineno}"
+            if len(parts) < 3:
+                raise DataError(f"{where}: a record needs a name, rows and cols")
+            name = parts[0]
+            try:
+                what = "shape"
+                rows, cols = int(parts[1]), int(parts[2])
+                what = "value"
+                vals = np.array([float(v) for v in parts[3:]])
+            except ValueError as exc:
+                raise DataError(f"{where}: bad {what} in record {name!r}: {exc}") from None
+            if min(rows, cols) < 0 or vals.size != rows * cols:
+                raise DataError(f"{where}: record {name!r} has {vals.size} values for shape "
+                                f"{rows}x{cols}")
+            records[name] = vals.reshape(rows, cols)
         own = dict(self.named_arrays())
         missing = sorted(set(own) - set(records))
         extra = sorted(set(records) - set(own))

@@ -52,9 +52,15 @@ def load_fitted(config: TrainConfig, path, domain_tag: int) -> Batch:
 
 
 def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
-    base = Path(base_dir)
-    return (load_fitted(cfg.train, base / cfg.source_path, SOURCE_TAG),
-            load_fitted(cfg.train, base / cfg.target_path, TARGET_TAG))
+    """Both fitted datasets of a run, refused if the run would reach a one-row batch."""
+    base, size, data = Path(base_dir), cfg.train.batch_size, []
+    for path, tag in ((base / cfg.source_path, SOURCE_TAG), (base / cfg.target_path, TARGET_TAG)):
+        data.append(load_fitted(cfg.train, path, tag))
+        n = len(data[-1])
+        if n % size == 1 and cfg.train.total_iterations > n // size:
+            raise DataError(f"{path}: {n} rows end an epoch in a one-row batch at train step "
+                            f"{n // size}, too small for batch norm (train.batch_size = {size})")
+    return data[0], data[1]
 
 
 def load_hashed(cfg: FileConfig, base_dir) -> tuple[Batch, Batch, dict[str, str]]:

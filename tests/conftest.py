@@ -32,3 +32,18 @@ def tiny_config(**kw) -> TrainConfig:
 def tiny_bundle():
     cfg = tiny_config()
     return build_bundle(cfg, np.random.default_rng(1)), cfg
+
+
+@pytest.fixture(scope="module")
+def golden_run(request, tmp_path_factory):
+    """name -> (the test module's ``pinned_run(name, out_dir)``, out_dir); each
+    pinned run of a golden module runs once."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            runs[name] = request.module.pinned_run(name, out), out
+        return runs[name]
+
+    return run

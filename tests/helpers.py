@@ -1,8 +1,13 @@
-"""Shared finite-difference oracle and small test utilities."""
+"""Shared finite-difference oracle, the golden-run harness and small test utilities."""
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 
+from saflab import training
 from saflab.autodiff import Tape, Tensor, record_op
+from saflab.data import TARGET_TAG, DomainSpec, gen_two_moons
 
 FD_EPS = 1e-5
 FD_RTOL = 1e-4
@@ -46,3 +51,35 @@ def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
         return (np.full(x.shape, g[0, 0] / n),)
 
     return record_op(tape, (x,), np.array([[x.data.sum() / n]]), bwd)
+
+
+def golden_data(n_source, n_target, generate=gen_two_moons):
+    """A source and a target set from one generator: noise 0.15, seed 0, the
+    target rotated 35 degrees."""
+    spec = DomainSpec(n_samples=n_source, noise_sd=0.15, seed=0)
+    target = replace(spec, n_samples=n_target, rotation_deg=35.0)
+    return generate(spec), generate(target, domain_tag=TARGET_TAG)
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_digests(config, data, out_dir, steps=3):
+    """Run ``run_experiment`` once on ``data`` (source, target).  Returns the
+    sha256 of ``model.txt`` and ``metrics.csv`` and the ``repr`` of the dicts
+    its first ``steps`` ``train_step`` calls returned."""
+    real, reprs = training.train_step, []
+
+    def recording_train_step(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if len(reprs) < steps:
+            reprs.append(repr(out))
+        return out
+
+    training.train_step = recording_train_step
+    try:
+        out = training.run_experiment(config, *data, out_dir)
+    finally:
+        training.train_step = real
+    return file_sha256(out / "model.txt"), file_sha256(out / "metrics.csv"), reprs

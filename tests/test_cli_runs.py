@@ -188,6 +188,13 @@ class TestWholeSet:
         assert f"cannot replace {out / 'target.csv'}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gen_data_removes_every_directory_it_made(self, tmp_path, capsys, monkeypatch):
+        _fail_second_write(monkeypatch)
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["gen-data", "--samples", "12", "--out", str(out)]) == 2
+        assert f"cannot replace {out / 'target.csv'}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_data_keeps_an_existing_out_dir(self, tmp_path, capsys, monkeypatch):
         _fail_second_write(monkeypatch)
         out = tmp_path / "d"
@@ -324,6 +331,46 @@ class TestDataMustFitTheConfig:
             runs.load_datasets(cfg, data_dir)
 
 
+class TestOneRowBatch:
+    """A training run that would reach a one-row batch at the end of an epoch
+    is refused at load: batch norm cannot train on one row.  13 rows at batch
+    size 4 leave one row for step 3."""
+
+    @pytest.fixture
+    def short_epoch(self, data_dir):
+        def write(name):
+            spec = DomainSpec(n_samples=13, seed=0, rotation_deg=35.0 * (name == "target.csv"))
+            save_csv(gen_two_moons(spec), data_dir / name)
+            return data_dir / name
+        return write
+
+    @pytest.mark.parametrize("name", ["source.csv", "target.csv"])
+    @pytest.mark.parametrize("command", [["train"], ["train", "--seeds", "0..1"],
+                                         ["ablate", "--seeds", "0"]],
+                             ids=["train", "train-seeds", "ablate"])
+    def test_refused_before_anything_is_written(self, data_dir, tmp_path, capsys, short_epoch,
+                                                command, name):
+        path = short_epoch(name)
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(data_dir / "tiny.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"saflab: error: {path}: 13 rows end an epoch in a one-row batch at train step 3, "
+            "too small for batch norm (train.batch_size = 4)\n")
+        assert not out.exists()
+
+    def test_shorter_runs_eval_and_export_still_work(self, data_dir, tmp_path, short_epoch):
+        short_epoch("source.csv")
+        cfg = data_dir / "short.cfg"
+        cfg.write_text(TINY_CFG.replace("iterations = 4", "iterations = 3"), encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        files = ["--model", str(run / "model.txt"), "--source", str(data_dir / "source.csv"),
+                 "--target", str(data_dir / "target.csv")]
+        assert main(["eval", "--config", str(data_dir / "tiny.cfg"), *files]) == 0
+        assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"), *files,
+                     "--out", str(tmp_path / "emb")]) == 0
+
+
 class TestCli:
     def test_print_config(self, capsys):
         assert main(["--print-config"]) == 0
@@ -433,6 +480,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"saflab: error: {model}, line 2: {reason}"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, command", [
+        ("config", "train"), ("config", "ablate"), ("config", "eval"), ("csv", "train"),
+        ("csv", "export-embeddings"), ("model", "eval"), ("model", "export-embeddings"),
+    ])
+    def test_non_utf8_byte_exits_two_naming_file_and_offset(self, data_dir, tmp_path, capsys,
+                                                            kind, command):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run)]) == 0
+        capsys.readouterr()
+        path = {"config": data_dir / "tiny.cfg", "csv": data_dir / "source.csv",
+                "model": run / "model.txt"}[kind]
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + b"\xff" + raw[20:])
+        out = tmp_path / "out"
+        argv = [command, "--config", str(data_dir / "tiny.cfg")]
+        if command in ("eval", "export-embeddings"):
+            argv += ["--model", str(run / "model.txt"), "--source", str(data_dir / "source.csv"),
+                     "--target", str(data_dir / "target.csv")]
+        if command != "eval":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"saflab: error: {path}: byte 20 is not UTF-8\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("classes", ["1", "5"])
     def test_gen_data_classes_out_of_range_is_usage_error(self, tmp_path, capsys, classes):

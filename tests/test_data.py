@@ -17,6 +17,7 @@ from saflab.data import (
     gen_gaussian_blobs,
     gen_two_moons,
     load_csv,
+    read_text,
     rotation_matrix,
     save_csv,
 )
@@ -179,6 +180,19 @@ class TestCsv:
         path.write_text("f0,f1\n1.0,2.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError, match="row 1"):
             load_csv(path, SOURCE_TAG)
+
+
+class TestReadText:
+    def test_newlines_translate_as_open_translates_them(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("a\r\nb\rc\n\x0cd\u2028e\r\r\n".encode("utf-8"))
+        assert read_text(path, CsvParseError) == path.read_text(encoding="utf-8")
+
+    def test_offset_counts_bytes_of_the_whole_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("\u00e9\n".encode("utf-8") * 3000 + b"\xfe")
+        with pytest.raises(CsvParseError, match=re.escape(f"{path}: byte 9000 is not UTF-8")):
+            read_text(path, CsvParseError)
 
 
 class TestBatchIterator:

@@ -16,15 +16,12 @@ change that declares a numerics change in CHANGES.md may regenerate them:
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current values.
 """
 
-import hashlib
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from saflab import DomainSpec, build_bundle, run_experiment, train_step
+from helpers import golden_data, run_digests
 from saflab.config import default_config
-from saflab.data import TARGET_TAG, cycle_batches, gen_two_moons
 from saflab.runs import ABLATION_VARIANTS, ablation_config
 
 STEPS = 100
@@ -129,13 +126,6 @@ GOLDEN_STEPS = {
 }
 
 
-def _data():
-    src = gen_two_moons(DomainSpec(n_samples=400, noise_sd=0.15, seed=0))
-    tgt = gen_two_moons(DomainSpec(n_samples=400, noise_sd=0.15, seed=0, rotation_deg=35.0),
-                        TARGET_TAG)
-    return src, tgt
-
-
 def _short(train, **kw):
     return replace(train, total_iterations=STEPS, eval_every=EVAL_EVERY, **kw)
 
@@ -157,34 +147,18 @@ def run_configs():
     return configs
 
 
-def run_digests(config, out_dir):
-    src, tgt = _data()
-    out = run_experiment(config, src, tgt, out_dir)
-    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                 for name in ("model.txt", "metrics.csv"))
-
-
-def step_reprs(config, steps=3):
-    """repr of train_step's dict for the first steps, seeded as run_experiment seeds."""
-    src, tgt = _data()
-    init_ss, src_ss, tgt_ss, step_ss = np.random.SeedSequence(config.seed).spawn(4)
-    bundle = build_bundle(config, np.random.default_rng(init_ss))
-    src_iter = cycle_batches(src, config.batch_size, np.random.default_rng(src_ss))
-    tgt_iter = cycle_batches(tgt.without_labels(), config.batch_size,
-                             np.random.default_rng(tgt_ss))
-    step_rng = np.random.default_rng(step_ss)
-    return [repr(train_step(bundle, next(src_iter), next(tgt_iter), config, t, step_rng))
-            for t in range(steps)]
+def pinned_run(name, out_dir):
+    return run_digests(run_configs()[name], golden_data(400, 400), out_dir)
 
 
 @pytest.mark.parametrize("name", sorted(run_configs()))
-def test_run_bytes_unchanged(name, tmp_path):
-    assert run_digests(run_configs()[name], tmp_path / name) == GOLDEN_RUNS[name]
+def test_run_bytes_unchanged(name, golden_run):
+    assert golden_run(name)[0][:2] == GOLDEN_RUNS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
-def test_first_steps_unchanged(name):
-    assert step_reprs(run_configs()[name]) == GOLDEN_STEPS[name]
+def test_first_steps_unchanged(name, golden_run):
+    assert golden_run(name)[0][2] == GOLDEN_STEPS[name]
 
 
 def test_every_ablation_variant_is_pinned():
@@ -196,14 +170,14 @@ if __name__ == "__main__":
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
+        runs = {name: pinned_run(name, Path(tmp) / name) for name in sorted(run_configs())}
         print("GOLDEN_RUNS = {")
-        for name, cfg in sorted(run_configs().items()):
-            model, metrics = run_digests(cfg, Path(tmp) / name)
+        for name, (model, metrics, _) in runs.items():
             print(f'    "{name}": (\n        "{model}",\n        "{metrics}",\n    ),')
         print("}\n\nGOLDEN_STEPS = {")
         for name in sorted(SETUPS):
             print(f'    "{name}": [')
-            for line in step_reprs(run_configs()[name]):
+            for line in runs[name][2]:
                 print(f"        {line!r},")
             print("    ],")
         print("}")
