@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import documented_default_text, parse_config, serialize_config
+from .config import documented_default_text, read_config
 from .data import (
     DomainSpec,
     SOURCE_TAG,
@@ -22,15 +22,13 @@ from .data import (
     csv_text,
     gen_gaussian_blobs,
     gen_two_moons,
-    read_text,
     write_all,
-    write_atomic,
 )
 from .embed import export_embeddings
-from .exceptions import ConfigError, SafLabError
+from .exceptions import SafLabError
 from .networks import build_bundle
-from .runs import load_datasets, load_fitted, load_hashed, run_ablation, run_with_seeds
-from .training import METRICS_HEADER, evaluate, run_experiment
+from .runs import load_fitted, load_hashed, run_ablation, run_with_seeds
+from .training import METRICS_HEADER, evaluate
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -102,27 +100,17 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_path = Path(args.config)
-    cfg = parse_config(read_text(cfg_path, ConfigError))
-    out = Path(args.out)
-    base_dir = cfg_path.parent
-    if args.seeds is not None:
-        manifest = run_with_seeds(cfg, args.seeds, out, load_hashed(cfg, base_dir))
-        agg = manifest["aggregate"]
-        print(f"{len(args.seeds)} runs -> {out}: mean tgt acc "
-              f"{agg['mean_target_accuracy']:.4f} (sd {agg['sd_target_accuracy']:.4f})")
-    else:
-        source, target = load_datasets(cfg, base_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "config.cfg", serialize_config(cfg))
-        run_experiment(cfg.train, source, target, out)
-        print(f"run complete -> {out}")
+    cfg = read_config(args.config)
+    seeds, out = args.seeds or [cfg.train.seed], Path(args.out)
+    agg = run_with_seeds(cfg, seeds, out, load_hashed(cfg, Path(args.config).parent))["aggregate"]
+    print(f"{len(seeds)} runs -> {out}: mean tgt acc "
+          f"{agg['mean_target_accuracy']:.4f} (sd {agg['sd_target_accuracy']:.4f})")
     return 0
 
 
 def _load_model(args):
     """The config, both labeled datasets and the saved model that ``args`` name."""
-    cfg = parse_config(read_text(args.config, ConfigError))
+    cfg = read_config(args.config)
     src = load_fitted(cfg.train, args.source, SOURCE_TAG)
     tgt = load_fitted(cfg.train, args.target, TARGET_TAG)
     bundle = build_bundle(cfg.train, np.random.default_rng(cfg.train.seed))
@@ -139,9 +127,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg_path = Path(args.config)
-    cfg = parse_config(read_text(cfg_path, ConfigError))
-    table = run_ablation(cfg, args.seeds, Path(args.out), cfg_path.parent)
+    cfg = read_config(args.config)
+    table = run_ablation(cfg, args.seeds, Path(args.out), Path(args.config).parent)
     print(table.read_text(encoding="utf-8"), end="")
     return 0
 
@@ -177,7 +164,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="run one configuration, optionally over several seeds")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seeds", type=_parse_seeds, default=None, help="e.g. 0..4 or 0,1,2")
+    t.add_argument("--seeds", type=_parse_seeds, help="e.g. 0..4 or 0,1,2; default: train.seed")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a saved model on labeled datasets")

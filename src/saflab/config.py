@@ -13,6 +13,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
+from .data import read_text
 from .exceptions import ConfigError
 from .mixup import MixupPolicy
 from .training import TrainConfig
@@ -181,6 +182,15 @@ def build_config(pairs: dict[tuple[str, str], str]) -> FileConfig:
 
 def parse_config(text: str) -> FileConfig:
     return build_config(parse_pairs(text))
+
+
+def read_config(path) -> FileConfig:
+    """The config file at ``path``; every :class:`ConfigError` starts with the path."""
+    text = read_text(path, ConfigError)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _render(cfg: FileConfig, comments: bool) -> str:

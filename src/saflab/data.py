@@ -8,8 +8,9 @@ externally extracted feature sets flow through the same pipeline.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray | None = None
     domain: int = SOURCE_TAG
+    sha256: str = field(default="", init=False)  # of the file bytes load_csv parsed
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -134,13 +136,18 @@ def gen_gaussian_blobs(spec: DomainSpec, centers, domain_tag: int = SOURCE_TAG) 
     return Batch(np.vstack(chunks), np.concatenate(labels), domain_tag)
 
 
-def read_text(path, error: type[SafLabError]) -> str:
-    """A UTF-8 file's text, its newlines translated as ``open`` translates them."""
+def decode_text(raw: bytes, path, error: type[SafLabError]) -> str:
+    """``raw`` (the bytes of ``path``) as UTF-8, one leading BOM dropped, newlines translated."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start} is not UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path, error: type[SafLabError]) -> str:
+    """A UTF-8 file's text, as :func:`decode_text` gives it."""
+    return decode_text(Path(path).read_bytes(), path, error)
 
 
 def write_atomic(path, text: str) -> None:
@@ -194,7 +201,8 @@ def load_csv(path, domain_tag: int) -> Batch:
     is row 2.  Ragged rows, non-numeric or non-finite cells and negative or
     fractional labels raise CsvParseError naming the row.
     """
-    lines = [ln for ln in read_text(path, CsvParseError).splitlines() if ln.strip() != ""]
+    raw = Path(path).read_bytes()
+    lines = [ln for ln in decode_text(raw, path, CsvParseError).splitlines() if ln.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -230,7 +238,9 @@ def load_csv(path, domain_tag: int) -> Batch:
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise CsvParseError(f"{path}: row {bad[0] + 2}: non-finite cell")
-    return Batch(arr, np.array(labels, dtype=np.intp), domain_tag)
+    batch = Batch(arr, np.array(labels, dtype=np.intp), domain_tag)
+    batch.sha256 = hashlib.sha256(raw).hexdigest()
+    return batch
 
 
 def batch_iterator(data: Batch, batch_size: int, rng: np.random.Generator):

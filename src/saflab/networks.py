@@ -164,6 +164,8 @@ class ModelBundle(_Blocks):
             if min(rows, cols) < 0 or vals.size != rows * cols:
                 raise DataError(f"{where}: record {name!r} has {vals.size} values for shape "
                                 f"{rows}x{cols}")
+            if not np.isfinite(vals).all():
+                raise DataError(f"{where}: record {name!r} holds a non-finite value")
             records[name] = vals.reshape(rows, cols)
         own = dict(self.named_arrays())
         missing = sorted(set(own) - set(records))

@@ -10,7 +10,6 @@ take the steps out of reach of in-process timing.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from .config import FileConfig, build_config, serialize_config
 from .data import Batch, load_csv, SOURCE_TAG, TARGET_TAG, write_atomic
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 from .training import METRICS_HEADER, TrainConfig, run_experiment
 
 # variant -> the config-file (section, key) pairs it overrides; full_saf is the base
@@ -52,8 +51,11 @@ def load_fitted(config: TrainConfig, path, domain_tag: int) -> Batch:
 
 
 def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
-    """Both fitted datasets of a run, refused if the run would reach a one-row batch."""
+    """Both fitted datasets, refused if the run would reach a one-row batch or no evaluation."""
     base, size, data = Path(base_dir), cfg.train.batch_size, []
+    if cfg.train.eval_every > cfg.train.total_iterations:
+        raise ConfigError(f"train.eval_every = {cfg.train.eval_every} exceeds train.iterations = "
+                          f"{cfg.train.total_iterations}, so the run writes no evaluation row")
     for path, tag in ((base / cfg.source_path, SOURCE_TAG), (base / cfg.target_path, TARGET_TAG)):
         data.append(load_fitted(cfg.train, path, tag))
         n = len(data[-1])
@@ -64,11 +66,9 @@ def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
 
 
 def load_hashed(cfg: FileConfig, base_dir) -> tuple[Batch, Batch, dict[str, str]]:
-    """Both datasets and the sha256 of each file: the data of :func:`run_with_seeds`."""
-    base = Path(base_dir)
-    hashes = {name: hashlib.sha256((base / path).read_bytes()).hexdigest()
-              for name, path in (("source", cfg.source_path), ("target", cfg.target_path))}
-    return (*load_datasets(cfg, base), hashes)
+    """Both datasets and the sha256 of the bytes each was parsed from."""
+    source, target = load_datasets(cfg, base_dir)
+    return source, target, {"source": source.sha256, "target": target.sha256}
 
 
 def final_target_accuracy(run_dir) -> float:
@@ -98,17 +98,12 @@ def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, data) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.cfg", serialize_config(cfg))
-
-    def one(seed: int) -> dict:
-        run_cfg = replace(cfg.train, seed=seed)
-        run_dir = run_experiment(run_cfg, source, target, out_dir / f"seed_{seed}")
-        return {
-            "seed": seed,
-            "path": str(run_dir.relative_to(out_dir)),
-            "target_accuracy": final_target_accuracy(run_dir),
-        }
-
-    results = [one(seed) for seed in seeds]
+    results = []
+    for seed in seeds:
+        run_dir = run_experiment(replace(cfg.train, seed=seed), source, target,
+                                 out_dir / f"seed_{seed}")
+        results.append({"seed": seed, "path": str(run_dir.relative_to(out_dir)),
+                        "target_accuracy": final_target_accuracy(run_dir)})
     accs = [r["target_accuracy"] for r in results]
     mean, sd = aggregate(accs)
     manifest = {

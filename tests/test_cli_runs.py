@@ -1,10 +1,12 @@
 """Multi-seed fan-out, manifests, the ablation grid and the CLI surface."""
 
+import hashlib
 import json
 import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +145,8 @@ class TestWholeOrNothing:
         code = main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)])
         assert code == 2
         assert "cannot replace" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "metrics.csv"]
+        left = {p.relative_to(out).as_posix() for p in out.rglob("*")}
+        assert left == {"config.cfg", "seed_0", "seed_0/metrics.csv"}
 
     def test_gen_data_exits_two(self, tmp_path, capsys, failing_replace):
         out = tmp_path / "d"
@@ -157,7 +160,7 @@ class TestWholeOrNothing:
         monkeypatch.setattr(os, "replace", _refuse_replace)
         out = tmp_path / "emb"
         assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"),
-                     "--model", str(run_dir / "model.txt"),
+                     "--model", str(run_dir / "seed_0" / "model.txt"),
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert "cannot replace" in capsys.readouterr().err
@@ -210,7 +213,7 @@ class TestWholeSet:
         _fail_second_write(monkeypatch)
         out = tmp_path / "emb"
         assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"),
-                     "--model", str(run_dir / "model.txt"),
+                     "--model", str(run_dir / "seed_0" / "model.txt"),
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert f"cannot replace {out / 'embeddings.svg'}" in capsys.readouterr().err
@@ -271,6 +274,41 @@ class TestAblationGrid:
             hashes.add((m["data_hashes"]["source"], m["data_hashes"]["target"]))
             seeds.add(tuple(m["seeds"]))
         assert len(hashes) == 1 and len(seeds) == 1
+
+
+class TestInputsReadOnce:
+    """A training command reads its config and each data CSV once, and the
+    manifest hashes the bytes that were parsed."""
+
+    @pytest.mark.parametrize("command, manifest", [
+        (["train"], "manifest.json"),
+        (["train", "--seeds", "0..1"], "manifest.json"),
+        (["ablate", "--seeds", "0"], "full_saf/manifest.json"),
+    ], ids=["train", "train-seeds", "ablate"])
+    def test_each_file_is_read_once(self, data_dir, tmp_path, monkeypatch, command, manifest):
+        read, read_bytes = [], Path.read_bytes
+
+        def counting(path):
+            read.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(data_dir / "tiny.cfg"), "--out", str(out)]) == 0
+        assert read == ["tiny.cfg", "source.csv", "target.csv"]
+        monkeypatch.undo()
+        hashes = json.loads((out / manifest).read_text())["data_hashes"]
+        assert hashes == {name: hashlib.sha256((data_dir / f"{name}.csv").read_bytes()).hexdigest()
+                          for name in ("source", "target")}
+
+    def test_a_byte_order_mark_changes_no_output_byte(self, data_dir, tmp_path):
+        marked = data_dir / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + (data_dir / "tiny.cfg").read_bytes())
+        for cfg, out in ((data_dir / "tiny.cfg", "plain"), (marked, "marked")):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        for name in ("config.cfg", "manifest.json", "seed_0/metrics.csv", "seed_0/model.txt"):
+            assert (tmp_path / "marked" / name).read_bytes() \
+                == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestDataMustFitTheConfig:
@@ -364,7 +402,8 @@ class TestOneRowBatch:
         cfg.write_text(TINY_CFG.replace("iterations = 4", "iterations = 3"), encoding="utf-8")
         run = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-        files = ["--model", str(run / "model.txt"), "--source", str(data_dir / "source.csv"),
+        files = ["--model", str(run / "seed_0" / "model.txt"),
+                 "--source", str(data_dir / "source.csv"),
                  "--target", str(data_dir / "target.csv")]
         assert main(["eval", "--config", str(data_dir / "tiny.cfg"), *files]) == 0
         assert main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"), *files,
@@ -411,9 +450,11 @@ class TestCli:
         out = tmp_path / "run"
         code = main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)])
         assert code == 0
-        assert (out / "metrics.csv").exists()
-        assert (out / "model.txt").exists()
+        assert capsys.readouterr().out.startswith(f"1 runs -> {out}: mean tgt acc ")
+        assert (out / "seed_0" / "metrics.csv").exists()
+        assert (out / "seed_0" / "model.txt").exists()
         assert (out / "config.cfg").exists()
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [0]
 
     def test_train_multi_seed_manifest(self, data_dir, tmp_path):
         out = tmp_path / "multi"
@@ -440,7 +481,7 @@ class TestCli:
         main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(out)])
         capsys.readouterr()
         code = main(["eval", "--config", str(data_dir / "tiny.cfg"),
-                     "--model", str(out / "model.txt"),
+                     "--model", str(out / "seed_0" / "model.txt"),
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv")])
         assert code == 0
@@ -453,7 +494,7 @@ class TestCli:
         main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run_dir)])
         out = tmp_path / "emb"
         code = main(["export-embeddings", "--config", str(data_dir / "tiny.cfg"),
-                     "--model", str(run_dir / "model.txt"),
+                     "--model", str(run_dir / "seed_0" / "model.txt"),
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"),
                      "--out", str(out)])
@@ -466,6 +507,7 @@ class TestCli:
         ("F.0.w 2 5 abc", "bad value in record 'F.0.w'"),
         ("F.0.w 2.5 5 0", "bad shape in record 'F.0.w'"),
         ("F.0.w 2", "a record needs a name, rows and cols"),
+        ("F.0.w 1 1 inf", "record 'F.0.w' holds a non-finite value"),
     ])
     def test_malformed_model_file_exits_two(self, data_dir, tmp_path, capsys, command,
                                             record, reason):
@@ -491,13 +533,14 @@ class TestCli:
         assert main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run)]) == 0
         capsys.readouterr()
         path = {"config": data_dir / "tiny.cfg", "csv": data_dir / "source.csv",
-                "model": run / "model.txt"}[kind]
+                "model": run / "seed_0" / "model.txt"}[kind]
         raw = path.read_bytes()
         path.write_bytes(raw[:20] + b"\xff" + raw[20:])
         out = tmp_path / "out"
         argv = [command, "--config", str(data_dir / "tiny.cfg")]
         if command in ("eval", "export-embeddings"):
-            argv += ["--model", str(run / "model.txt"), "--source", str(data_dir / "source.csv"),
+            argv += ["--model", str(run / "seed_0" / "model.txt"),
+                     "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv")]
         if command != "eval":
             argv += ["--out", str(out)]
@@ -551,7 +594,7 @@ class TestCli:
         capsys.readouterr()
         out = tmp_path / "emb"
         assert main(["export-embeddings", "--config", str(cfg),
-                     "--model", str(run_dir / "model.txt"),
+                     "--model", str(run_dir / "seed_0" / "model.txt"),
                      "--source", str(data_dir / "source.csv"),
                      "--target", str(data_dir / "target.csv"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("saflab: error: projection needs at least 3 samples "
@@ -596,7 +639,22 @@ class TestCli:
         cfg.write_text(TINY_CFG + "seed = -1\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "saflab: error: train.seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"saflab: error: {cfg}: train.seed: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["train", "--seeds", "0..1"],
+                                         ["ablate", "--seeds", "0"]],
+                             ids=["train", "train-seeds", "ablate"])
+    def test_run_ending_before_its_first_evaluation_exits_two_writing_nothing(
+            self, data_dir, tmp_path, capsys, command):
+        cfg = data_dir / "late.cfg"
+        cfg.write_text(TINY_CFG.replace("eval_every = 2", "eval_every = 5"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("saflab: error: train.eval_every = 5 exceeds "
+                                           "train.iterations = 4, so the run writes no "
+                                           "evaluation row\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new, message", [
@@ -610,7 +668,7 @@ class TestCli:
         cfg.write_text(TINY_CFG.replace(old, new), encoding="utf-8")
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"saflab: error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"saflab: error: {cfg}: {message}\n"
         assert not (out / "config.cfg").exists() and not (out / "model.txt").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

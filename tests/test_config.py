@@ -14,6 +14,7 @@ from saflab.config import (
     documented_default_text,
     parse_config,
     parse_pairs,
+    read_config,
     serialize_config,
 )
 from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
@@ -55,6 +56,17 @@ class TestParsing:
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="train.batch_size"):
             parse_config("[train]\nbatch_size = many\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nbatch_size = 1\n", "train.batch_size: batch_size must be >= 2, got 1"),
+        ("[train]\nwarmup = 5\n", "line 2: unknown key train.warmup"),
+    ])
+    def test_read_config_errors_start_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "lab.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            read_config(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# top\n[train]\nseed = 9  # inline\n\n[model]\nbackbone = dann\n")

@@ -1,5 +1,6 @@
 """Synthetic generators, the affine shift, CSV round-trips and batching."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -187,6 +188,20 @@ class TestReadText:
         path = tmp_path / "f.txt"
         path.write_bytes("a\r\nb\rc\n\x0cd\u2028e\r\r\n".encode("utf-8"))
         assert read_text(path, CsvParseError) == path.read_text(encoding="utf-8")
+
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes("\ufeff\ufeffa\ufeff\r\n".encode("utf-8"))
+        assert read_text(path, CsvParseError) == "\ufeffa\ufeff\n"
+
+    def test_csv_with_a_byte_order_mark_loads_the_same_rows(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(gen_two_moons(DomainSpec(n_samples=12)), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain, SOURCE_TAG), load_csv(marked, SOURCE_TAG)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert b.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest() != a.sha256
 
     def test_offset_counts_bytes_of_the_whole_file(self, tmp_path):
         path = tmp_path / "f.txt"

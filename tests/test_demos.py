@@ -21,6 +21,8 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     # the subprocess does not inherit pytest's warning filters
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                "-W", "error::FutureWarning"]
+    proc = subprocess.run([sys.executable, *warnings, str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
