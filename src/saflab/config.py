@@ -185,12 +185,15 @@ def parse_config(text: str) -> FileConfig:
 
 
 def read_config(path) -> FileConfig:
-    """The config file at ``path``; every :class:`ConfigError` starts with the path."""
+    """The config at ``path``, refused if it never evaluates; each error starts with the path."""
     text = read_text(path, ConfigError)
     try:
-        return parse_config(text)
+        if (cfg := parse_config(text)).train.eval_every > cfg.train.total_iterations:
+            raise ConfigError(f"train.eval_every: {cfg.train.eval_every} exceeds train.iterations"
+                              f" = {cfg.train.total_iterations}, so the run writes no evaluation row")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 def _render(cfg: FileConfig, comments: bool) -> str:

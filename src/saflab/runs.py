@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import FileConfig, build_config, serialize_config
 from .data import Batch, load_csv, SOURCE_TAG, TARGET_TAG, write_atomic
-from .exceptions import ConfigError, DataError
+from .exceptions import DataError
 from .training import METRICS_HEADER, TrainConfig, run_experiment
 
 # variant -> the config-file (section, key) pairs it overrides; full_saf is the base
@@ -51,11 +51,8 @@ def load_fitted(config: TrainConfig, path, domain_tag: int) -> Batch:
 
 
 def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
-    """Both fitted datasets, refused if the run would reach a one-row batch or no evaluation."""
+    """Both fitted datasets, refused if the run would reach a one-row batch."""
     base, size, data = Path(base_dir), cfg.train.batch_size, []
-    if cfg.train.eval_every > cfg.train.total_iterations:
-        raise ConfigError(f"train.eval_every = {cfg.train.eval_every} exceeds train.iterations = "
-                          f"{cfg.train.total_iterations}, so the run writes no evaluation row")
     for path, tag in ((base / cfg.source_path, SOURCE_TAG), (base / cfg.target_path, TARGET_TAG)):
         data.append(load_fitted(cfg.train, path, tag))
         n = len(data[-1])

@@ -652,7 +652,7 @@ class TestCli:
         cfg.write_text(TINY_CFG.replace("eval_every = 2", "eval_every = 5"), encoding="utf-8")
         out = tmp_path / "o"
         assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ("saflab: error: train.eval_every = 5 exceeds "
+        assert capsys.readouterr().err == (f"saflab: error: {cfg}: train.eval_every: 5 exceeds "
                                            "train.iterations = 4, so the run writes no "
                                            "evaluation row\n")
         assert not out.exists()
@@ -669,7 +669,7 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"saflab: error: {cfg}: {message}\n"
-        assert not (out / "config.cfg").exists() and not (out / "model.txt").exists()
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_two_and_ablate_records_errors(self, data_dir, tmp_path,
@@ -683,7 +683,7 @@ class TestCli:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "train step 1: non-finite eps_c (nan)" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "model.txt").exists()
+        assert not (tmp_path / "run" / "seed_0" / "model.txt").exists()
         assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                      "--out", str(tmp_path / "abl")]) == 0
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
@@ -701,7 +701,7 @@ class TestCli:
         error = "evaluation at iteration 4: non-finite B.0.bn_var; the model has diverged"
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"saflab: error: {error}" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "model.txt").exists()
+        assert not (tmp_path / "run" / "seed_0" / "model.txt").exists()
         assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                      "--out", str(tmp_path / "abl")]) == 0
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
