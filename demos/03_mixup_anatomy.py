@@ -21,13 +21,14 @@ print("pool of 9 rows; odd count, so one row self-pairs (a self-training row)")
 
 for mode in ("saf", "beta", "constant"):
     mixed = saf_mixup_batch(None, bundle, feats, MixupPolicy(mode=mode),
-                            np.random.default_rng(7))
-    print(f"\nmode={mode}: pairs={mixed.pair_indices}")
+                            np.random.default_rng(7), pseudo_probs=probs)
+    print(f"\nmode={mode}: pairs={list(zip(mixed.ids_a.tolist(), mixed.ids_b.tolist()))}")
     print(f"  etas: {np.round(mixed.etas, 3)}")
     print(f"  label row sums: {np.round(mixed.soft_labels.data.sum(axis=1), 12)}")
 
-mixed = saf_mixup_batch(None, bundle, feats, MixupPolicy(), np.random.default_rng(7))
-i, j = mixed.pair_indices[0]
+mixed = saf_mixup_batch(None, bundle, feats, MixupPolicy(), np.random.default_rng(7),
+                        pseudo_probs=probs)
+i, j = mixed.ids_a[0], mixed.ids_b[0]
 print(f"\nfirst pair ({i}, {j}):")
 print("  parent i:", np.round(feats.data[i], 3))
 print("  parent j:", np.round(feats.data[j], 3))

@@ -27,11 +27,12 @@ from .data import (
 from .embed import export_embeddings
 from .exceptions import SafLabError
 from .networks import build_bundle
-from .runs import load_fitted, load_hashed, run_ablation, run_with_seeds
+from .runs import load_datasets, load_fitted, run_ablation, run_with_seeds
 from .training import METRICS_HEADER, evaluate
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
+MAX_SEEDS = 10_000  # each seed is a whole training run
 
 _BLOB_CENTERS = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)]
 
@@ -46,11 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    """`lo..hi` (inclusive) or `a,b,c`: a non-empty list of unique seeds >= 0."""
+    """`lo..hi` (inclusive, at most MAX_SEEDS of them) or `a,b,c`: a non-empty
+    list of unique seeds >= 0."""
     try:
         if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(p) for p in raw.split("..", 1))
+            if hi - lo >= MAX_SEEDS:
+                raise argparse.ArgumentTypeError(f"{raw!r} spans more than {MAX_SEEDS} seeds")
+            seeds = list(range(lo, hi + 1))
         else:
             seeds = [int(p) for p in raw.split(",") if p.strip() != ""]
     except ValueError:
@@ -102,7 +106,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = read_config(args.config)
     seeds, out = args.seeds or [cfg.train.seed], Path(args.out)
-    agg = run_with_seeds(cfg, seeds, out, load_hashed(cfg, Path(args.config).parent))["aggregate"]
+    source, target = load_datasets(cfg, Path(args.config).parent)
+    agg = run_with_seeds(cfg, seeds, out, source, target)["aggregate"]
     print(f"{len(seeds)} runs -> {out}: mean tgt acc "
           f"{agg['mean_target_accuracy']:.4f} (sd {agg['sd_target_accuracy']:.4f})")
     return 0

@@ -20,6 +20,11 @@ from .exceptions import ConfigError, CsvParseError, DataError, SafLabError
 SOURCE_TAG = 0
 TARGET_TAG = 1
 
+# generator limits: the arrays stay small enough to build, and every generated
+# coordinate (about scale * (2 + noise) + translation) stays finite
+MAX_SAMPLES = 10**6
+MAX_MAGNITUDE = 1e6
+
 
 @dataclass
 class DomainSpec:
@@ -36,11 +41,17 @@ class DomainSpec:
     def __post_init__(self):
         if self.generator not in ("two_moons", "gaussian_blobs"):
             raise ConfigError(f"unknown generator {self.generator!r}")
-        if self.n_samples < 2:
-            raise ConfigError(f"need at least 2 samples, got {self.n_samples}")
+        if not 2 <= self.n_samples <= MAX_SAMPLES:
+            raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {self.n_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("noise_sd", "rotation_deg", "translation", "scale"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if np.abs(value).max() > MAX_MAGNITUDE:
+                raise ConfigError(f"{name} must be at most {MAX_MAGNITUDE:g} in magnitude, "
+                                  f"got {value}")
         if self.noise_sd < 0:
             raise ConfigError(f"noise sd must be >= 0, got {self.noise_sd}")
         if self.scale <= 0:
@@ -185,8 +196,8 @@ def write_all(files: dict) -> None:
 def csv_text(batch: Batch) -> str:
     """Header f0..f{d-1},label; values rendered with shortest round-trip repr."""
     lines = [",".join([f"f{i}" for i in range(batch.dim)] + ["label"])]
-    for row, label in zip(batch.features, batch.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    for row, label in zip(batch.features.tolist(), batch.labels.tolist()):
+        lines.append(",".join(map(repr, row)) + f",{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,13 +11,13 @@ kept so the weight module trains from the supervision signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .exceptions import ConfigError, DataError, ShapeError
+from .exceptions import ConfigError, DataError
 from .losses import conditional_entropy, cross_entropy_divergence
 from .networks import ModelBundle, classify, saf_weight
 
@@ -62,34 +62,24 @@ class MixupPolicy:
 
 @dataclass
 class MixedBatch:
-    """Mixed feature rows, their composite label rows, and the weights used."""
+    """Mixed feature rows, their composite label rows, the weights used, and
+    the pool rows each mixed row came from: row r mixes ``ids_a[r]`` with
+    ``ids_b[r]`` (target rows first, then any source rows)."""
 
     features: Tensor
     soft_labels: Tensor
     etas: np.ndarray
-    pair_indices: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self) == 0:
-            return
-        sums = self.soft_labels.data.sum(axis=1)
-        worst = np.abs(sums - 1.0).max()
-        if worst > 1e-9:
-            raise DataError(f"mixed label rows must sum to 1 (worst deviation {worst:.3g})")
-        if self.etas.min() <= 0.0 or self.etas.max() >= 1.0:
-            raise DataError("mixing weights must lie strictly inside (0, 1)")
+    ids_a: np.ndarray
+    ids_b: np.ndarray
 
     def __len__(self) -> int:
         return self.features.rows
 
     @classmethod
     def empty(cls, width: int, num_classes: int) -> "MixedBatch":
-        return cls(
-            Tensor(np.zeros((0, width))),
-            Tensor(np.zeros((0, num_classes))),
-            np.zeros(0),
-            [],
-        )
+        no_ids = np.zeros(0, dtype=np.intp)
+        return cls(Tensor(np.zeros((0, width))), Tensor(np.zeros((0, num_classes))),
+                   np.zeros(0), no_ids, no_ids)
 
 
 def draw_pair_positions(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +112,9 @@ def saf_mixup_batch(
     policy: MixupPolicy,
     rng: np.random.Generator,
     *,
+    pseudo_probs: np.ndarray,
     src_features: Tensor | None = None,
     src_labels=None,
-    pseudo_probs: np.ndarray | None = None,
 ) -> MixedBatch:
     """Pair, weigh and mix the target feature rows.
 
@@ -132,24 +122,17 @@ def saf_mixup_batch(
     asks for them (their one-hot ground truth stands in for pseudo-labels),
     draw a random matching, compute eta per pair, and emit the convex
     combinations of features and label distributions.  ``pseudo_probs`` are
-    the target rows' pseudo-labels; training and evaluation always pass them
-    (see :func:`saflab.training.objective`).  Without them the rows are taken
-    as extractor features and labelled by :func:`pseudo_label_probs`.
+    the target rows' pseudo-labels, one row each; training and evaluation
+    take them from :func:`saflab.training.objective`.
     """
     k = bundle.num_classes
     if target_features.rows == 0:
         raise DataError("mixup needs a non-empty target feature batch")
-    if pseudo_probs is None:
-        probs = pseudo_label_probs(bundle, target_features.data)
-    else:
-        probs = np.asarray(pseudo_probs, dtype=np.float64)
-        if probs.shape != (target_features.rows, k):
-            raise ShapeError(f"pseudo probs must be {target_features.rows}x{k}")
 
     if policy.entropy_filter == "none":
         kept = np.arange(target_features.rows)
     else:
-        h = conditional_entropy(probs)
+        h = conditional_entropy(pseudo_probs)
         thr = policy.threshold_for(k)
         # "certain" means H < threshold, "uncertain" means H >= threshold
         mask = h >= thr if policy.entropy_filter == "only_uncertain" else h < thr
@@ -157,7 +140,7 @@ def saf_mixup_batch(
 
     pool = target_features
     pool_ids = kept
-    pool_probs = probs[kept]
+    pool_probs = pseudo_probs[kept]
     if policy.include_source:
         if src_features is None or src_labels is None:
             raise DataError("include_source mixup needs source features and labels")
@@ -189,8 +172,7 @@ def saf_mixup_batch(
     y2 = Tensor(pool_probs[b_pos])
     soft = ad.add(tape, ad.mul_colvec(tape, y1, eta), ad.mul_colvec(tape, y2, one_minus))
 
-    pair_indices = list(zip(ids_a.tolist(), ids_b.tolist()))
-    return MixedBatch(mixed, soft, eta.data.ravel().copy(), pair_indices)
+    return MixedBatch(mixed, soft, eta.data.ravel().copy(), ids_a, ids_b)
 
 
 def saf_supervision_loss(

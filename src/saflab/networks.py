@@ -139,7 +139,7 @@ class ModelBundle(_Blocks):
         for name, arr in self.named_arrays():
             if not np.isfinite(arr).all():
                 raise StateError(f"{name} is not finite; {path} is not written")
-            vals = " ".join(repr(float(v)) for v in arr.ravel())
+            vals = " ".join(map(repr, arr.ravel().tolist()))
             lines.append(f"{name} {arr.shape[0]} {arr.shape[1]} {vals}")
         write_atomic(path, "\n".join(lines) + "\n")
 

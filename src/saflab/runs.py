@@ -62,12 +62,6 @@ def load_datasets(cfg: FileConfig, base_dir) -> tuple[Batch, Batch]:
     return data[0], data[1]
 
 
-def load_hashed(cfg: FileConfig, base_dir) -> tuple[Batch, Batch, dict[str, str]]:
-    """Both datasets and the sha256 of the bytes each was parsed from."""
-    source, target = load_datasets(cfg, base_dir)
-    return source, target, {"source": source.sha256, "target": target.sha256}
-
-
 def final_target_accuracy(run_dir) -> float:
     """tgt_acc of the last metrics row."""
     lines = (Path(run_dir) / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
@@ -88,10 +82,10 @@ def aggregate(values: list[float]) -> tuple[float, float]:
     return mean, sd
 
 
-def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, data) -> dict:
-    """One run directory per seed plus manifest.json with the aggregates;
-    ``data`` is what :func:`load_hashed` returns."""
-    source, target, hashes = data
+def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, source: Batch,
+                   target: Batch) -> dict:
+    """One run directory per seed plus manifest.json with the aggregates and
+    the sha256 of the bytes each dataset was parsed from."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.cfg", serialize_config(cfg))
@@ -105,7 +99,7 @@ def run_with_seeds(cfg: FileConfig, seeds: list[int], out_dir, data) -> dict:
     mean, sd = aggregate(accs)
     manifest = {
         "config": {f"{s}.{k}": v for (s, k), v in sorted(cfg.pairs().items())},
-        "data_hashes": hashes,
+        "data_hashes": {"source": source.sha256, "target": target.sha256},
         "seeds": seeds,
         "runs": results,
         "aggregate": {"mean_target_accuracy": mean, "sd_target_accuracy": sd},
@@ -129,14 +123,14 @@ def run_ablation(base: FileConfig, seeds: list[int], out_dir, base_dir) -> Path:
     raises.  A failing variant is recorded in the table with its error; the
     rest proceed.  Writes ablation.csv and returns its path.
     """
-    data = load_hashed(base, base_dir)
+    source, target = load_datasets(base, base_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["variant,mean_tgt_acc,sd_tgt_acc,status"]
     for variant in ABLATION_VARIANTS:
         try:
             manifest = run_with_seeds(
-                ablation_config(base, variant), seeds, out_dir / variant, data
+                ablation_config(base, variant), seeds, out_dir / variant, source, target
             )
             agg = manifest["aggregate"]
             rows.append(

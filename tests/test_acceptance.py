@@ -361,8 +361,9 @@ def test_mixup_contracts():
             assert len(multi) == len(set(multi))
 
         feats = forward_features(None, bundle, rng.normal(size=(20, 2)))
-        mixed = saf_mixup_batch(None, bundle, feats, MixupPolicy(), np.random.default_rng(5))
-        for r, (i, j) in enumerate(mixed.pair_indices):
+        mixed = saf_mixup_batch(None, bundle, feats, MixupPolicy(), np.random.default_rng(5),
+                                pseudo_probs=pseudo_label_probs(bundle, feats.data))
+        for r, (i, j) in enumerate(zip(mixed.ids_a, mixed.ids_b)):
             lo = np.minimum(feats.data[i], feats.data[j]) - 1e-12
             hi = np.maximum(feats.data[i], feats.data[j]) + 1e-12
             assert ((mixed.features.data[r] >= lo) & (mixed.features.data[r] <= hi)).all()
@@ -370,7 +371,8 @@ def test_mixup_contracts():
 
         big = forward_features(None, bundle, rng.normal(size=(20_000, 2)))
         etas = saf_mixup_batch(None, bundle, big, MixupPolicy(mode="beta", beta_alpha=0.2),
-                               np.random.default_rng(6)).etas
+                               np.random.default_rng(6),
+                               pseudo_probs=pseudo_label_probs(bundle, big.data)).etas
         assert etas.size == 10_000
         ex2 = 0.5 * (1.2 / 1.4)
         ex4 = ex2 * (2.2 / 2.4) * (3.2 / 3.4)

@@ -61,7 +61,7 @@ class TestRunWithSeeds:
     def test_manifest_and_recompute(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
         out = tmp_path / "multi"
-        manifest = runs.run_with_seeds(cfg, [0, 1, 2], out, runs.load_hashed(cfg, data_dir))
+        manifest = runs.run_with_seeds(cfg, [0, 1, 2], out, *runs.load_datasets(cfg, data_dir))
         assert [r["seed"] for r in manifest["runs"]] == [0, 1, 2]
         accs = [runs.final_target_accuracy(out / f"seed_{s}") for s in (0, 1, 2)]
         mean, sd = runs.aggregate(accs)
@@ -74,8 +74,8 @@ class TestRunWithSeeds:
 
     def test_seed_runs_match_single_runs(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
-        runs.run_with_seeds(cfg, [0, 1], tmp_path / "multi", runs.load_hashed(cfg, data_dir))
         source, target = runs.load_datasets(cfg, data_dir)
+        runs.run_with_seeds(cfg, [0, 1], tmp_path / "multi", source, target)
         for k in (0, 1):
             single = run_experiment(replace(cfg.train, seed=k), source, target,
                                     tmp_path / f"single_{k}")
@@ -136,7 +136,7 @@ class TestWholeOrNothing:
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
         out = tmp_path / "multi"
         with pytest.raises(OSError):
-            runs.run_with_seeds(cfg, [0, 1], out, runs.load_hashed(cfg, data_dir))
+            runs.run_with_seeds(cfg, [0, 1], out, *runs.load_datasets(cfg, data_dir))
         left = {p.relative_to(out).as_posix() for p in out.rglob("*")}
         assert left == {"config.cfg", "seed_0", "seed_0/metrics.csv"}
 
@@ -444,6 +444,18 @@ class TestCli:
         assert main(["gen-data", flag, value, "--samples", "12", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"saflab: error: {field} must be finite, got "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--samples", str(10**20)], "n_samples must be in [2, 1000000], got "),
+        (["--kind", "gaussian_blobs", "--samples", str(10**23)], "n_samples must be in [2, "),
+        (["--scale", "1e308"], "scale must be at most 1e+06 in magnitude, got 1e+308"),
+    ])
+    def test_gen_data_value_it_cannot_build_exits_two(self, tmp_path, capsys, args, message):
+        out = tmp_path / "d"
+        assert main(["gen-data", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"saflab: error: {message}"), err
         assert not out.exists()
 
     def test_train_single_run(self, data_dir, tmp_path, capsys):

@@ -147,6 +147,9 @@ class TestCsv:
         labels = data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         save_csv(Batch(feats, labels=labels), path)
+        # the reference format: Python's float repr of each value
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            ",".join([repr(float(v)) for v in row] + [str(lab)]) for row, lab in zip(feats, labels)]
         loaded = load_csv(path, SOURCE_TAG)
         assert loaded.features.tobytes() == feats.tobytes()
         assert loaded.labels.tolist() == labels

@@ -7,7 +7,9 @@ UTF-8 or replaces a cell with a non-finite literal.  Each mutant goes through
 0, 1 or 2; a failure prints one ``saflab: error:`` line (argparse usage for
 exit 1) and no traceback; a mutant refused at load leaves no ``--out``.  A run
 that diverges names the step or the evaluation and may leave a partial run
-directory behind.
+directory behind.  An extreme argument value (a seed span too large for a
+list, a sample count or shift beyond what the generator can build) is
+refused the same way, before anything is allocated or written.
 """
 
 import contextlib
@@ -94,6 +96,11 @@ def run(command: str, d: Path) -> tuple[int, str]:
                  "--target", str(d / FILES["target"])]
     if command != "eval":
         argv += ["--out", str(d / "out")]
+    return call(argv)
+
+
+def call(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit status and stderr; stdout is dropped."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -122,3 +129,32 @@ def test_a_mutant_exits_with_a_message_or_runs(inputs, file, command, mutation):
             assert not (d / "out").exists() or DIVERGED.search(err), err
         elif code == 1:
             assert err.startswith("usage: "), err
+
+
+HUGE_SPAN = "0.." + str(10**30)
+SHIFTS = [("--noise", "noise_sd"), ("--rotation", "rotation_deg"),
+          ("--translate-x", "translation"), ("--translate-y", "translation")]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["train", "--config", "lab.cfg", "--seeds", HUGE_SPAN], "--seeds"),
+    (["ablate", "--config", "lab.cfg", "--seeds", HUGE_SPAN], "--seeds"),
+    (["gen-data", "--samples", str(10**20)], "n_samples"),
+    (["gen-data", "--kind", "gaussian_blobs", "--samples", str(10**23)], "n_samples"),
+    (["gen-data", "--scale", "1e308"], "scale"),
+    (["gen-data", "--seed", "-1"], "seed"),
+    *((["gen-data", f"{flag}={sign}1e308"], field) for flag, field in SHIFTS for sign in "+-"),
+])
+def test_an_extreme_value_exits_with_one_message(tmp_path, argv, names):
+    # every value here fails before any array or seed list is allocated
+    out = tmp_path / "out"
+    code, err = call([*argv, "--out", str(out)])
+    lines = err.splitlines()
+    assert code in (1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("saflab: error: "), err
+    else:
+        assert lines[0].startswith("usage: ") and sum("error:" in ln for ln in lines) == 1, err
+    assert names in lines[-1], err
+    assert not out.exists()

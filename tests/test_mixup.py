@@ -36,6 +36,16 @@ def target_feats(bundle, rng, n=10):
     return forward_features(None, bundle, rng.normal(size=(n, 2)))
 
 
+def mix(bundle, feats, policy, seed, tape=None, **kw):
+    """saf_mixup_batch on ``feats`` labelled by the eval-mode classifier."""
+    return saf_mixup_batch(tape, bundle, feats, policy, np.random.default_rng(seed),
+                           pseudo_probs=pseudo_label_probs(bundle, feats.data), **kw)
+
+
+def pairs_of(mixed):
+    return list(zip(mixed.ids_a.tolist(), mixed.ids_b.tolist()))
+
+
 class TestPolicy:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -91,9 +101,8 @@ class TestRandomDrawPairs:
             assert got == want, n
             assert all(type(i) is int for pair in got for i in pair)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-            mixed = saf_mixup_batch(None, b, Tensor(np.zeros((n, b.M.in_dim))),
-                                    MixupPolicy(mode="constant"), np.random.default_rng(n))
-            assert mixed.pair_indices == want, n
+            mixed = mix(b, Tensor(np.zeros((n, b.M.in_dim))), MixupPolicy(mode="constant"), n)
+            assert pairs_of(mixed) == want, n
 
     def test_matching_marginals_uniform(self):
         # each unordered pair of 6 items should appear with frequency 1/5
@@ -112,7 +121,7 @@ class TestSafMixupBatch:
         b, _ = bundle
         row = rng.normal(size=(1, b.M.in_dim))
         feats = Tensor(np.vstack([row, row]))
-        mixed = saf_mixup_batch(None, b, feats, MixupPolicy(), np.random.default_rng(0))
+        mixed = mix(b, feats, MixupPolicy(), 0)
         np.testing.assert_allclose(mixed.features.data, row, atol=1e-15)
         probs = pseudo_label_probs(b, row)
         np.testing.assert_allclose(mixed.soft_labels.data, probs, atol=1e-15)
@@ -126,7 +135,7 @@ class TestSafMixupBatch:
             None, b, feats, MixupPolicy(mode="constant", constant_eta=0.6),
             np.random.default_rng(1), pseudo_probs=probs,
         )
-        (i, j) = mixed.pair_indices[0]
+        i, j = mixed.ids_a[0], mixed.ids_b[0]
         expected_f = 0.6 * f[i] + 0.4 * f[j]
         expected_y = 0.6 * probs[i] + 0.4 * probs[j]
         np.testing.assert_allclose(mixed.features.data[0], expected_f, atol=1e-15)
@@ -135,18 +144,15 @@ class TestSafMixupBatch:
     def test_soft_label_rows_sum_to_one(self, bundle, rng):
         b, _ = bundle
         for mode in ("saf", "beta", "constant"):
-            mixed = saf_mixup_batch(
-                None, b, target_feats(b, rng, 21), MixupPolicy(mode=mode),
-                np.random.default_rng(3),
-            )
+            mixed = mix(b, target_feats(b, rng, 21), MixupPolicy(mode=mode), 3)
             sums = mixed.soft_labels.data.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_mixed_rows_lie_between_parents(self, bundle, rng):
         b, _ = bundle
         feats = target_feats(b, rng, 16)
-        mixed = saf_mixup_batch(None, b, feats, MixupPolicy(), np.random.default_rng(5))
-        for r, (i, j) in enumerate(mixed.pair_indices):
+        mixed = mix(b, feats, MixupPolicy(), 5)
+        for r, (i, j) in enumerate(pairs_of(mixed)):
             lo = np.minimum(feats.data[i], feats.data[j])
             hi = np.maximum(feats.data[i], feats.data[j])
             assert (mixed.features.data[r] >= lo - 1e-12).all()
@@ -154,18 +160,17 @@ class TestSafMixupBatch:
 
     def test_pairing_partitions_filtered_indices(self, bundle, rng):
         b, _ = bundle
-        mixed = saf_mixup_batch(None, b, target_feats(b, rng, 9), MixupPolicy(),
-                                np.random.default_rng(6))
-        used = [i for p in mixed.pair_indices for i in p]
-        selfs = [p for p in mixed.pair_indices if p[0] == p[1]]
+        mixed = mix(b, target_feats(b, rng, 9), MixupPolicy(), 6)
+        used = [i for p in pairs_of(mixed) for i in p]
+        selfs = [p for p in pairs_of(mixed) if p[0] == p[1]]
         assert len(selfs) == 1
         assert sorted(set(used)) == list(range(9))
 
     def test_saf_mode_deterministic_with_frozen_module(self, bundle, rng):
         b, _ = bundle
         feats = target_feats(b, rng, 12)
-        m1 = saf_mixup_batch(None, b, feats, MixupPolicy(), np.random.default_rng(7))
-        m2 = saf_mixup_batch(None, b, feats, MixupPolicy(), np.random.default_rng(7))
+        m1 = mix(b, feats, MixupPolicy(), 7)
+        m2 = mix(b, feats, MixupPolicy(), 7)
         np.testing.assert_array_equal(m1.etas, m2.etas)
         np.testing.assert_array_equal(m1.features.data, m2.features.data)
 
@@ -173,8 +178,7 @@ class TestSafMixupBatch:
         b, _ = bundle
         rng_feats = np.random.default_rng(8)
         feats = target_feats(b, rng_feats, 20_000)
-        mixed = saf_mixup_batch(None, b, feats, MixupPolicy(mode="beta", beta_alpha=0.2),
-                                np.random.default_rng(9))
+        mixed = mix(b, feats, MixupPolicy(mode="beta", beta_alpha=0.2), 9)
         etas = mixed.etas
         assert etas.size == 10_000
         # Beta(0.2, 0.2): E[X] = 1/2, E[X^2] = (0.2/0.4)*(1.2/1.4), and the
@@ -188,20 +192,14 @@ class TestSafMixupBatch:
 
     def test_only_certain_with_zero_threshold_is_empty(self, bundle, rng):
         b, _ = bundle
-        mixed = saf_mixup_batch(
-            None, b, target_feats(b, rng, 10),
-            MixupPolicy(entropy_filter="only_certain", entropy_threshold=0.0),
-            np.random.default_rng(10),
-        )
+        mixed = mix(b, target_feats(b, rng, 10),
+                    MixupPolicy(entropy_filter="only_certain", entropy_threshold=0.0), 10)
         assert len(mixed) == 0
 
     def test_only_uncertain_with_zero_threshold_keeps_all(self, bundle, rng):
         b, _ = bundle
-        mixed = saf_mixup_batch(
-            None, b, target_feats(b, rng, 10),
-            MixupPolicy(entropy_filter="only_uncertain", entropy_threshold=0.0),
-            np.random.default_rng(10),
-        )
+        mixed = mix(b, target_feats(b, rng, 10),
+                    MixupPolicy(entropy_filter="only_uncertain", entropy_threshold=0.0), 10)
         assert len(mixed) == 5
 
     def test_entropy_filter_splits_pool(self, bundle, rng):
@@ -211,18 +209,12 @@ class TestSafMixupBatch:
         from saflab.losses import conditional_entropy
 
         thr = float(np.median(conditional_entropy(probs)))
-        uncertain = saf_mixup_batch(
-            None, b, feats,
-            MixupPolicy(entropy_filter="only_uncertain", entropy_threshold=thr),
-            np.random.default_rng(1),
-        )
-        certain = saf_mixup_batch(
-            None, b, feats,
-            MixupPolicy(entropy_filter="only_certain", entropy_threshold=thr),
-            np.random.default_rng(1),
-        )
-        used_u = {i for p in uncertain.pair_indices for i in p}
-        used_c = {i for p in certain.pair_indices for i in p}
+        uncertain = mix(b, feats,
+                        MixupPolicy(entropy_filter="only_uncertain", entropy_threshold=thr), 1)
+        certain = mix(b, feats,
+                      MixupPolicy(entropy_filter="only_certain", entropy_threshold=thr), 1)
+        used_u = {i for p in pairs_of(uncertain) for i in p}
+        used_c = {i for p in pairs_of(certain) for i in p}
         assert used_u.isdisjoint(used_c)
         assert len(used_u) + len(used_c) == 30
 
@@ -231,31 +223,29 @@ class TestSafMixupBatch:
         tgt = target_feats(b, rng, 6)
         src = forward_features(None, b, rng.normal(size=(4, 2)))
         labels = np.array([0, 1, 1, 0])
-        mixed = saf_mixup_batch(
-            None, b, tgt, MixupPolicy(include_source=True), np.random.default_rng(2),
-            src_features=src, src_labels=labels,
-        )
-        used = {i for p in mixed.pair_indices for i in p}
+        mixed = mix(b, tgt, MixupPolicy(include_source=True), 2,
+                    src_features=src, src_labels=labels)
+        used = {i for p in pairs_of(mixed) for i in p}
         assert used == set(range(10))
         assert len(mixed) == 5
 
     def test_include_source_requires_source(self, bundle, rng):
         b, _ = bundle
         with pytest.raises(DataError):
-            saf_mixup_batch(None, b, target_feats(b, rng, 4),
-                            MixupPolicy(include_source=True), np.random.default_rng(2))
+            mix(b, target_feats(b, rng, 4), MixupPolicy(include_source=True), 2)
 
     def test_width_mismatch(self, bundle, rng):
         b, _ = bundle
         with pytest.raises(ShapeError):
             saf_mixup_batch(None, b, Tensor(rng.normal(size=(4, b.M.in_dim + 2))),
-                            MixupPolicy(), np.random.default_rng(0))
+                            MixupPolicy(), np.random.default_rng(0),
+                            pseudo_probs=np.full((4, b.num_classes), 1 / b.num_classes))
 
     def test_empty_input_rejected(self, bundle):
         b, _ = bundle
         with pytest.raises(DataError):
             saf_mixup_batch(None, b, Tensor(np.zeros((0, b.M.in_dim))), MixupPolicy(),
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), pseudo_probs=np.zeros((0, b.num_classes)))
 
 
 class TestSafSupervisionLoss:
@@ -270,7 +260,7 @@ class TestSafSupervisionLoss:
         b, _ = bundle
         tape = Tape()
         feats = forward_features(tape, b, rng.normal(size=(8, 2)), training=True)
-        mixed = saf_mixup_batch(tape, b, feats, MixupPolicy(), np.random.default_rng(4))
+        mixed = mix(b, feats, MixupPolicy(), 4, tape)
         loss = saf_supervision_loss(tape, b, mixed, training=True,
                                     rng=np.random.default_rng(5))
         backward(loss, tape)
@@ -286,8 +276,7 @@ class TestSafSupervisionLoss:
         b, _ = bundle
         tape = Tape()
         feats = forward_features(tape, b, rng.normal(size=(8, 2)), training=True)
-        mixed = saf_mixup_batch(tape, b, feats, MixupPolicy(mode=mode),
-                                np.random.default_rng(4))
+        mixed = mix(b, feats, MixupPolicy(mode=mode), 4, tape)
         loss = saf_supervision_loss(tape, b, mixed, training=True,
                                     rng=np.random.default_rng(5))
         backward(loss, tape)
@@ -307,7 +296,7 @@ class TestSafSupervisionLoss:
             None, b, feats, MixupPolicy(mode="constant", constant_eta=1.0 - 1e-9),
             np.random.default_rng(3), pseudo_probs=probs,
         )
-        first = [i for i, _ in mixed.pair_indices]
+        first = mixed.ids_a
         np.testing.assert_allclose(mixed.features.data, feats.data[first], atol=1e-7)
         np.testing.assert_allclose(mixed.soft_labels.data, probs[first], atol=1e-7)
 

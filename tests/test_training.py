@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import saflab.autodiff as ad
-import saflab.mixup as mixup
 import saflab.training as tr
 from saflab import (
     ConfigError,
@@ -107,7 +106,7 @@ class TestTrainStep:
 
         from saflab import autodiff as ad
         from saflab.losses import dann_domain_loss
-        from saflab.mixup import saf_mixup_batch, saf_supervision_loss
+        from saflab.mixup import pseudo_label_probs, saf_mixup_batch, saf_supervision_loss
         from saflab.networks import adversary_logits
 
         rng = np.random.default_rng(9)
@@ -122,7 +121,8 @@ class TestTrainStep:
         d_src = adversary_logits(tape, bundle_b, feats_src, lam_d, training=True, rng=rng)
         d_tgt = adversary_logits(tape, bundle_b, feats_tgt, lam_d, training=True, rng=rng)
         eps_d = dann_domain_loss(tape, d_src, d_tgt)
-        mixed = saf_mixup_batch(tape, bundle_b, feats_tgt, cfg.mixup, rng)
+        mixed = saf_mixup_batch(tape, bundle_b, feats_tgt, cfg.mixup, rng,
+                                pseudo_probs=pseudo_label_probs(bundle_b, feats_tgt.data))
         eps_m = saf_supervision_loss(tape, bundle_b, mixed, training=True, rng=rng)
         total = ad.add(tape, ad.add(tape, eps_c, eps_d), ad.scale_shift(tape, eps_m, lam_m))
         backward(total, tape)
@@ -181,12 +181,11 @@ class TestTrainStep:
                                                   passes):
         # eval-mode (B, C) passes of one step: mdd's source and target
         # pseudo-labels, the mixup's target pseudo-labels (C alone on the
-        # training-mode B outputs with after_bottleneck); the fallback of
-        # saf_mixup_batch is never reached, in training or in evaluate
+        # training-mode B outputs with after_bottleneck)
         cfg = tiny_config(backbone=backbone, saf_enabled=saf, mixup_after_bottleneck=after)
         src, tgt = moon_pair(16)
         bundle = build_bundle(cfg, np.random.default_rng(2))
-        calls = {"B": 0, "C": 0, "fallback": 0}
+        calls = {"B": 0, "C": 0}
 
         def eval_counted(key, forward):
             def wrapper(tape, x, training=False, rng=None):
@@ -194,24 +193,12 @@ class TestTrainStep:
                 return forward(tape, x, training, rng)
             return wrapper
 
-        def fallback(*args, **kw):
-            calls["fallback"] += 1
-            return real_fallback(*args, **kw)
-
-        real_fallback = mixup.pseudo_label_probs
-        monkeypatch.setattr(mixup, "pseudo_label_probs", fallback)
         for key in ("B", "C"):
             block = getattr(bundle, key)
             monkeypatch.setattr(block, "forward", eval_counted(key, block.forward))
         # t = 2: lambda_d > 0, so the adversary runs in training mode
         train_step(bundle, src, tgt.without_labels(), cfg, 2, np.random.default_rng(3))
-        assert (calls["B"], calls["C"], calls["fallback"]) == (*passes, 0)
-        evaluate(bundle, src, tgt, cfg, iteration=2)
-        assert calls["fallback"] == 0
-        if not after:  # the counter does see the fallback
-            mixup.saf_mixup_batch(None, bundle, forward_features(None, bundle, tgt),
-                                  cfg.mixup, np.random.default_rng(4))
-            assert calls["fallback"] == 1
+        assert (calls["B"], calls["C"]) == passes
 
 
 class TestEvaluate:
