@@ -19,7 +19,7 @@ x = rng.normal(size=(16, 2))
 labels = rng.integers(0, 2, size=16)
 
 tape = Tape()
-feats = forward_features(tape, bundle, x, training=True, rng=rng)
+feats = forward_features(tape, bundle, x)
 logits = classify(tape, bundle, feats, training=True, rng=rng)
 loss = cross_entropy(tape, logits, labels)
 backward(loss, tape)

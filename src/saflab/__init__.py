@@ -13,7 +13,7 @@ from .autodiff import (
     backward,
     sgd_nesterov_step,
 )
-from .data import Batch, DomainSpec, batch_iterator, gen_gaussian_blobs, gen_two_moons, load_csv, save_csv
+from .data import Batch, DomainSpec, batch_iterator, gen_gaussian_blobs, gen_two_moons, load_csv
 from .exceptions import (
     ConfigError,
     CsvParseError,

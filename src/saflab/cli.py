@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -38,7 +39,12 @@ _BLOB_CENTERS = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; we promise 1."""
+    """argparse exits with status 2 on usage errors; we promise 1.  A negative
+    number in exponent form (``-1e3``, ``-.5E-2``) is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -153,16 +159,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     g = sub.add_parser("gen-data", help="generate a shifted source/target dataset pair")
-    g.add_argument("--kind", choices=["two_moons", "gaussian_blobs"], default="two_moons")
-    g.add_argument("--samples", type=int, default=400)
-    g.add_argument("--noise", type=float, default=0.15)
+    spec = DomainSpec()
+    g.add_argument("--kind", choices=["two_moons", "gaussian_blobs"], default=spec.generator)
+    g.add_argument("--samples", type=int, default=spec.n_samples)
+    g.add_argument("--noise", type=float, default=spec.noise_sd)
     g.add_argument("--rotation", type=float, default=35.0)
-    g.add_argument("--translate-x", type=float, default=0.0)
-    g.add_argument("--translate-y", type=float, default=0.0)
-    g.add_argument("--scale", type=float, default=1.0)
+    g.add_argument("--translate-x", type=float, default=spec.translation[0])
+    g.add_argument("--translate-y", type=float, default=spec.translation[1])
+    g.add_argument("--scale", type=float, default=spec.scale)
     g.add_argument("--classes", type=int, default=2, choices=range(2, len(_BLOB_CENTERS) + 1),
                    help="gaussian_blobs class count")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=spec.seed)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_data)
 

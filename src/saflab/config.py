@@ -135,8 +135,10 @@ def default_config() -> FileConfig:
 
 
 def parse_pairs(text: str) -> dict[tuple[str, str], str]:
-    """Raw `(section, key) -> value` pairs; strict about names and shape."""
+    """Raw `(section, key) -> value` pairs; strict about names and shape.  A
+    key may be set once; a section header may repeat."""
     pairs: dict[tuple[str, str], str] = {}
+    lines: dict[tuple[str, str], int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,7 +156,10 @@ def parse_pairs(text: str) -> dict[tuple[str, str], str]:
         key, value = (p.strip() for p in line.split("=", 1))
         if (section, key) not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
-        pairs[(section, key)] = value
+        if (section, key) in lines:
+            raise ConfigError(f"line {lineno}: {section}.{key} is already set on line "
+                              f"{lines[(section, key)]}")
+        pairs[(section, key)], lines[(section, key)] = value, lineno
     return pairs
 
 

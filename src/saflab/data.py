@@ -201,10 +201,6 @@ def csv_text(batch: Batch) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_csv(batch: Batch, path) -> None:
-    write_atomic(path, csv_text(batch))
-
-
 def load_csv(path, domain_tag: int) -> Batch:
     """Parse a labeled feature CSV: feature columns, then a ``label`` column.
 

@@ -17,6 +17,8 @@ import numpy as np
 from .autodiff import Tape, Tensor, add, concat_rows, log_softmax_rows, record_op, scale_shift
 from .exceptions import ConfigError, DataError, ShapeError
 
+STUMP_POINTS = 64  # default thresholds per axis of the stump H-divergence grid
+
 
 @dataclass(frozen=True)
 class MarginParams:
@@ -257,7 +259,7 @@ class AxisStump:
         return np.where(hi, self.hi_label, 1 - self.hi_label)
 
 
-def axis_stump_grid(points: np.ndarray, points_per_axis: int = 64) -> list[AxisStump]:
+def axis_stump_grid(points: np.ndarray, points_per_axis: int = STUMP_POINTS) -> list[AxisStump]:
     """Both-polarity threshold stumps on an even grid per axis.
 
     The grid spans the observed range of each coordinate, so the set is
@@ -296,7 +298,7 @@ def _rows_above(cols: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(thr.T), 0, n_valid[:, None] - at_most)
 
 
-def empirical_h_divergence(samples_src, samples_tgt, points_per_axis: int = 64) -> float:
+def empirical_h_divergence(samples_src, samples_tgt, points_per_axis: int = STUMP_POINTS) -> float:
     """2*(1 - min over stumps of [source-0 fraction + target-1 fraction]).
 
     Exhaustive enumeration over :func:`axis_stump_grid` of both samples,

@@ -198,12 +198,11 @@ def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
     return ModelBundle(F, B, C, D, M, k)
 
 
-def forward_features(tape: Tape | None, bundle: ModelBundle, x,
-                     training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Run the extractor on a Batch (or raw matrix), returning feature rows."""
+def forward_features(tape: Tape | None, bundle: ModelBundle, x) -> Tensor:
+    """Run the extractor (no dropout, no batch norm) on a Batch or raw matrix."""
     feats = getattr(x, "features", x)
     t = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats, dtype=np.float64))
-    return bundle.F.forward(tape, t, training, rng)
+    return bundle.F.forward(tape, t)
 
 
 def classify(tape: Tape | None, bundle: ModelBundle, features: Tensor,

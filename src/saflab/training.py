@@ -11,7 +11,7 @@ construction; they are used only by :func:`evaluate`.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,9 @@ from .losses import (
 from .mixup import MixupPolicy, pseudo_label_probs, saf_mixup_batch, saf_supervision_loss
 from .networks import ModelBundle, adversary_logits, build_bundle, classify, forward_features
 
-METRICS_HEADER = "iter,eps_c,eps_d,eps_m,lambda_d,lambda_m,src_acc,tgt_acc,tgt_entropy,mdd_est,h_div"
+# size caps that keep a bundle buildable; a width covers 2048-wide extracted features
+MAX_WIDTH = 4096
+MAX_BOTTLENECKS = 64
 
 
 @dataclass
@@ -66,18 +68,24 @@ class TrainConfig:
         # every message starts with its field's name, which build_config maps to a key
         if self.backbone not in ("dann", "mdd"):
             raise ConfigError(f"backbone must be dann or mdd, got {self.backbone!r}")
-        minima = {"total_iterations": 1, "batch_size": 2, "momentum": 0, "lambda_d_max": 0,
-                  "lambda_m_max": 0, "eval_every": 1, "seed": 0, "num_classes": 2,
-                  "input_dim": 1, "bottleneck_dim": 1, "saf_dim": 1, "saf_bottlenecks": 1}
-        for name, lo in minima.items():
-            if not getattr(self, name) >= lo:
-                raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+        inf = math.inf
+        bounds = {"total_iterations": (1, inf), "batch_size": (2, inf), "momentum": (0, inf),
+                  "lambda_d_max": (0, inf), "lambda_m_max": (0, inf), "eval_every": (1, inf),
+                  "seed": (0, inf), "num_classes": (2, MAX_WIDTH), "input_dim": (1, MAX_WIDTH),
+                  "bottleneck_dim": (1, MAX_WIDTH), "saf_dim": (1, MAX_WIDTH),
+                  "saf_bottlenecks": (1, MAX_BOTTLENECKS)}
+        for name, (lo, hi) in bounds.items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ConfigError(f"{name} must be >= {lo}, got {value}" if hi == inf
+                                  else f"{name} must be in [{lo}, {hi}], got {value}")
         if not self.base_lr > 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not self.margin_gamma > 1:
             raise ConfigError(f"margin_gamma must exceed 1, got {self.margin_gamma}")
-        if not self.f_widths or min(self.f_widths) < 1:
-            raise ConfigError(f"f_widths must be positive and non-empty, got {self.f_widths}")
+        if not self.f_widths or not all(1 <= w <= MAX_WIDTH for w in self.f_widths):
+            raise ConfigError(f"f_widths must be non-empty, each in [1, {MAX_WIDTH}], "
+                              f"got {self.f_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -87,7 +95,7 @@ class TrainConfig:
 
 @dataclass
 class MetricsRecord:
-    """One evaluation row; matches the metrics CSV column order."""
+    """One evaluation row; its fields are the metrics CSV columns, ``iteration`` as ``iter``."""
 
     iteration: int
     eps_c: float
@@ -106,6 +114,9 @@ class MetricsRecord:
         return ",".join([str(iteration)] + [repr(float(v)) for v in vals])
 
 
+METRICS_HEADER = ",".join(["iter", *(f.name for f in fields(MetricsRecord)[1:])])
+
+
 def _ramp(t: int, total: int, max_value: float, speed: float) -> float:
     if t < 0:
         raise ConfigError(f"iteration must be >= 0, got {t}")
@@ -115,12 +126,12 @@ def _ramp(t: int, total: int, max_value: float, speed: float) -> float:
     return max_value * math.tanh(speed * t / total)
 
 
-def lambda_d_schedule(t: int, total: int, max_value: float = 0.1) -> float:
+def lambda_d_schedule(t: int, total: int, max_value: float) -> float:
     """Adversarial weight ramp: max * tanh(10 t / T); 0 at t=0."""
     return _ramp(t, total, max_value, 10.0)
 
 
-def lambda_m_schedule(t: int, total: int, max_value: float = 0.1) -> float:
+def lambda_m_schedule(t: int, total: int, max_value: float) -> float:
     """Mixup weight ramp, slower: max * tanh(5 t / T)."""
     return _ramp(t, total, max_value, 5.0)
 
@@ -161,14 +172,13 @@ def objective(
     t: int,
     *,
     tape: Tape | None,
-    training: bool,
     rng: np.random.Generator,
 ) -> Objective:
     """eps_c + eps_d + lambda_m(t) * eps_m on one source and one target batch.
 
-    :func:`train_step` builds it on a tape in training mode and
-    differentiates ``total``; :func:`evaluate` computes the same terms with
-    ``tape=None, training=False``.  The GRL coefficient lambda_d(t) scales
+    :func:`train_step` builds it on a tape, in training mode, and
+    differentiates ``total``; :func:`evaluate` computes the same terms in
+    eval mode with ``tape=None``.  The GRL coefficient lambda_d(t) scales
     (and flips) only the extractor's share of the adversarial gradient; when
     it is exactly 0 the adversarial term is computed out of graph in eval
     mode and left out of ``total``, so the step matches plain supervised
@@ -193,9 +203,10 @@ def objective(
         raise DataError("source batches must carry labels")
     lam_d = lambda_d_schedule(t, config.total_iterations, config.lambda_d_max)
     lam_m = lambda_m_schedule(t, config.total_iterations, config.lambda_m_max)
+    training = tape is not None
 
-    feats_src = forward_features(tape, bundle, src, training, rng)
-    feats_tgt = forward_features(tape, bundle, tgt, training, rng)
+    feats_src = forward_features(tape, bundle, src)
+    feats_tgt = forward_features(tape, bundle, tgt)
     adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
     after = config.mixup_after_bottleneck
     h_src = h_tgt = logits_tgt = probs_src = None
@@ -266,7 +277,7 @@ def train_step(
     tape = Tape()
     # a diverging model overflows here; the loss check (now or next step) names it
     with np.errstate(over="ignore", invalid="ignore"):
-        obj = objective(bundle, src, tgt, config, t, tape=tape, training=True, rng=rng)
+        obj = objective(bundle, src, tgt, config, t, tape=tape, rng=rng)
         terms = obj.terms()
         for name in ("eps_c", "eps_d", "eps_m"):
             if not math.isfinite(terms[name]):
@@ -303,7 +314,7 @@ def evaluate(
                          "the model has diverged")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         obj = objective(bundle, src_eval, tgt_eval, config, iteration, tape=None,
-                        training=False, rng=np.random.default_rng(config.seed))
+                        rng=np.random.default_rng(config.seed))
     read = {"source features": obj.feats_src, "target features": obj.feats_tgt,
             "source logits": obj.logits_src, "target logits": obj.logits_tgt,
             "source adversary logits": obj.d_src, "target adversary logits": obj.d_tgt}

@@ -204,10 +204,10 @@ def _full_graph_errors(backbone, seed):
 
     def supervised_and_mixup(tape):
         rng = np.random.default_rng(99)
-        feats_src = forward_features(tape, bundle, src_x, training=True, rng=rng)
+        feats_src = forward_features(tape, bundle, src_x)
         logits_src = classify(tape, bundle, feats_src, training=True, rng=rng)
         eps_c = L.cross_entropy(tape, logits_src, src_y)
-        feats_tgt = forward_features(tape, bundle, tgt_x, training=True, rng=rng)
+        feats_tgt = forward_features(tape, bundle, tgt_x)
         mixed = saf_mixup_batch(tape, bundle, feats_tgt, cfg.mixup,
                                 np.random.default_rng(7), pseudo_probs=frozen_probs)
         eps_m = saf_supervision_loss(tape, bundle, mixed, training=True, rng=rng)
@@ -215,8 +215,8 @@ def _full_graph_errors(backbone, seed):
 
     def adversarial(tape):
         rng = np.random.default_rng(98)
-        feats_src = forward_features(tape, bundle, src_x, training=True, rng=rng)
-        feats_tgt = forward_features(tape, bundle, tgt_x, training=True, rng=rng)
+        feats_src = forward_features(tape, bundle, src_x)
+        feats_tgt = forward_features(tape, bundle, tgt_x)
         d_src = adversary_logits(tape, bundle, feats_src, lam_d, training=True, rng=rng)
         d_tgt = adversary_logits(tape, bundle, feats_tgt, lam_d, training=True, rng=rng)
         if backbone == "dann":
@@ -333,14 +333,14 @@ def test_loss_identities():
 def test_schedule_endpoints():
     with criterion("schedule-endpoints"):
         total = 3000
-        assert lambda_d_schedule(0, total) == 0.0
-        assert lambda_m_schedule(0, total) == 0.0
+        assert lambda_d_schedule(0, total, 0.1) == 0.0
+        assert lambda_m_schedule(0, total, 0.1) == 0.0
         # frozen 50-digit evaluations of 0.1*tanh(10) and 0.1*tanh(5)
-        assert abs(lambda_d_schedule(total, total) - 0.09999999958776927636196) <= 1e-12
-        assert abs(lambda_m_schedule(total, total) - 0.0999909204262595131211) <= 1e-12
+        assert abs(lambda_d_schedule(total, total, 0.1) - 0.09999999958776927636196) <= 1e-12
+        assert abs(lambda_m_schedule(total, total, 0.1) - 0.0999909204262595131211) <= 1e-12
         for t in np.linspace(0, total, 1000):
             t = int(t)
-            assert lambda_m_schedule(t, total) <= lambda_d_schedule(t, total)
+            assert lambda_m_schedule(t, total, 0.1) <= lambda_d_schedule(t, total, 0.1)
 
 
 # ---------------------------------------------------------------------------

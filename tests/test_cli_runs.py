@@ -14,7 +14,7 @@ import saflab.data
 import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
-from saflab.data import DomainSpec, gen_two_moons, save_csv, write_atomic
+from saflab.data import DomainSpec, csv_text, gen_two_moons, write_atomic
 from saflab.exceptions import DataError, StateError
 from saflab.training import run_experiment
 
@@ -42,9 +42,9 @@ eval_every = 2
 def data_dir(tmp_path):
     d = tmp_path / "data"
     d.mkdir()
-    save_csv(gen_two_moons(DomainSpec(n_samples=16, seed=0)), d / "source.csv")
-    save_csv(gen_two_moons(DomainSpec(n_samples=16, seed=0, rotation_deg=35.0)),
-             d / "target.csv")
+    write_atomic(d / "source.csv", csv_text(gen_two_moons(DomainSpec(n_samples=16, seed=0))))
+    write_atomic(d / "target.csv",
+                 csv_text(gen_two_moons(DomainSpec(n_samples=16, seed=0, rotation_deg=35.0))))
     (d / "tiny.cfg").write_text(TINY_CFG, encoding="utf-8")
     return d
 
@@ -378,7 +378,7 @@ class TestOneRowBatch:
     def short_epoch(self, data_dir):
         def write(name):
             spec = DomainSpec(n_samples=13, seed=0, rotation_deg=35.0 * (name == "target.csv"))
-            save_csv(gen_two_moons(spec), data_dir / name)
+            write_atomic(data_dir / name, csv_text(gen_two_moons(spec)))
             return data_dir / name
         return write
 
@@ -456,6 +456,27 @@ class TestCli:
         assert main(["gen-data", *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"saflab: error: {message}"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, spaced, joined", [
+        ("--translate-x", "-1e3", "-1000"), ("--translate-y", "-2E-1", "-0.2"),
+        ("--rotation", "-2e1", "-20"), ("--translate-y", "-.5e2", "-50"),
+    ])
+    def test_gen_data_takes_a_negative_exponent_as_a_value(self, tmp_path, flag, spaced, joined):
+        # argparse's own negative-number pattern (CPython 3.10-3.13) has no exponent form
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["gen-data", flag, spaced, "--samples", "12", "--out", str(a)]) == 0
+        assert main(["gen-data", f"{flag}={joined}", "--samples", "12", "--out", str(b)]) == 0
+        files = ("source.csv", "target.csv", "data_manifest.json")
+        assert [(a / f).read_bytes() for f in files] == [(b / f).read_bytes() for f in files]
+
+    @pytest.mark.parametrize("value", ["-e3", "-1e", "-1e3x", "--1e3"])
+    def test_gen_data_dash_word_stays_an_option(self, tmp_path, capsys, value):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--translate-x", value, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "--translate-x: expected one argument" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_single_run(self, data_dir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Strict config parsing, defaults, round-trips and overrides."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,8 @@ from saflab.config import (
     serialize_config,
 )
 from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
+from saflab.networks import MLP
+from saflab.training import MAX_BOTTLENECKS, MAX_WIDTH
 
 
 def _parses_floats(key) -> bool:
@@ -28,6 +31,16 @@ def _parses_floats(key) -> bool:
 
 
 _FLOAT_KEYS = [k for k in TABLE if _parses_floats(k)]
+
+
+def _parses_ints(key) -> bool:
+    try:
+        return type(key.parse("3")) in (int, tuple)  # f_widths: a tuple of ints
+    except (ValueError, ConfigError):
+        return False
+
+
+_INT_KEYS = [k for k in TABLE if _parses_ints(k)]
 
 
 class TestParsing:
@@ -60,6 +73,10 @@ class TestParsing:
     @pytest.mark.parametrize("text, message", [
         ("[train]\nbatch_size = 1\n", "train.batch_size: batch_size must be >= 2, got 1"),
         ("[train]\nwarmup = 5\n", "line 2: unknown key train.warmup"),
+        ("[train]\niterations = 4\n\n[model]\nbackbone = dann\n[train]\niterations = 6\n",
+         "line 7: train.iterations is already set on line 2"),
+        ("[model]\nbackbone = dann\n# again\n[model]\nbackbone = mdd\n",
+         "line 5: model.backbone is already set on line 2"),
     ])
     def test_read_config_errors_start_with_the_path(self, tmp_path, text, message):
         path = tmp_path / "lab.cfg"
@@ -67,6 +84,11 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             read_config(path)
         assert str(exc.value) == f"{path}: {message}"
+
+    def test_repeated_section_with_new_keys_is_legal(self):
+        cfg = parse_config("[train]\nseed = 9\n[model]\nbackbone = dann\n"
+                           "[train]\niterations = 6\n")
+        assert (cfg.train.seed, cfg.train.backbone, cfg.train.total_iterations) == (9, "dann", 6)
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# top\n[train]\nseed = 9  # inline\n\n[model]\nbackbone = dann\n")
@@ -99,6 +121,20 @@ class TestParsing:
         cfg = build_config(pairs)
         assert cfg.train.saf_enabled is False
 
+    def test_int_keys(self):
+        assert {k.key for k in _INT_KEYS} == {
+            "input_dim", "f_widths", "bottleneck_dim", "saf_dim", "num_classes",
+            "saf_bottlenecks", "iterations", "batch_size", "eval_every", "seed"}
+
+    def test_size_caps_are_inclusive(self):
+        widths = ("input_dim", "bottleneck_dim", "saf_dim", "num_classes")
+        pairs = {("model", k): str(MAX_WIDTH) for k in widths}
+        pairs[("model", "f_widths")] = f"{MAX_WIDTH},{MAX_WIDTH}"
+        pairs[("model", "saf_bottlenecks")] = str(MAX_BOTTLENECKS)
+        train = build_config(pairs).train
+        assert [getattr(train, k) for k in widths] == [MAX_WIDTH] * 4
+        assert (train.f_widths, train.saf_bottlenecks) == ((MAX_WIDTH,) * 2, MAX_BOTTLENECKS)
+
     def test_float_keys(self):
         assert {k.key for k in _FLOAT_KEYS} == {
             "dropout", "base_lr", "momentum", "lambda_d_max", "lambda_m_max", "margin_gamma",
@@ -120,6 +156,10 @@ class TestParsing:
         ("train.margin_gamma", "1.0"), ("train.eval_every", "0"), ("train.seed", "-1"),
         ("mixup.mode", "lottery"), ("mixup.beta_alpha", "0.0"), ("mixup.constant_eta", "1.0"),
         ("mixup.entropy_filter", "some"), ("mixup.entropy_threshold", "-0.5"),
+        ("model.input_dim", "4097"), ("model.f_widths", "8,4097"),
+        ("model.f_widths", str(10**30)), ("model.bottleneck_dim", str(10**30)),
+        ("model.saf_dim", "4097"), ("model.num_classes", str(10**30)),
+        ("model.saf_bottlenecks", "65"), ("model.saf_bottlenecks", str(10**30)),
     ])
     def test_range_error_names_key(self, key, value):
         section, name = key.split(".")
@@ -155,6 +195,25 @@ def test_float_keys_fail_by_name_or_round_trip(values):
         assert any(str(exc).startswith(f"{k.section}.{k.key}: ") for k in values), str(exc)
     else:
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+_EDGE_INTS = (st.sampled_from([10**30, -10**30, 0, -1, MAX_WIDTH, MAX_WIDTH + 1,
+                                MAX_BOTTLENECKS, MAX_BOTTLENECKS + 1])
+              | st.integers(-3, 5000))
+
+
+@given(st.dictionaries(st.sampled_from(_INT_KEYS), _EDGE_INTS, min_size=1))
+def test_int_keys_fail_by_name_or_round_trip(values):
+    """Any int in any int key, 10**30 included: a ConfigError naming one of
+    the keys set, or a config that survives serialize -> parse unchanged.
+    No layer is built on the way."""
+    with mock.patch.object(MLP, "__init__", side_effect=AssertionError("built a layer")):
+        try:
+            cfg = build_config({(k.section, k.key): str(v) for k, v in values.items()})
+        except ConfigError as exc:
+            assert any(str(exc).startswith(f"{k.section}.{k.key}: ") for k in values), str(exc)
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
 
 
 def _floats(lo, hi, **kw):

@@ -15,12 +15,13 @@ from saflab.data import (
     TARGET_TAG,
     affine_transform,
     batch_iterator,
+    csv_text,
     gen_gaussian_blobs,
     gen_two_moons,
     load_csv,
     read_text,
     rotation_matrix,
-    save_csv,
+    write_atomic,
 )
 
 
@@ -127,11 +128,11 @@ class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         batch = Batch(rng.normal(size=(2, 3)) * 1e-7, labels=[1, 0])
         path = tmp_path / "d.csv"
-        save_csv(batch, path)
+        write_atomic(path, csv_text(batch))
         loaded = load_csv(path, SOURCE_TAG)
         assert np.array_equal(loaded.features, batch.features)
         assert np.array_equal(loaded.labels, batch.labels)
-        save_csv(loaded, tmp_path / "d2.csv")
+        write_atomic(tmp_path / "d2.csv", csv_text(loaded))
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
 
     # finite floats, with the edge cases of shortest-repr round-tripping
@@ -146,7 +147,7 @@ class TestCsv:
         feats = data.draw(hnp.arrays(np.float64, (rows, cols), elements=self._cells))
         labels = data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
         path = tmp_path_factory.mktemp("csv") / "d.csv"
-        save_csv(Batch(feats, labels=labels), path)
+        write_atomic(path, csv_text(Batch(feats, labels=labels)))
         # the reference format: Python's float repr of each value
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [
             ",".join([repr(float(v)) for v in row] + [str(lab)]) for row, lab in zip(feats, labels)]
@@ -199,7 +200,7 @@ class TestReadText:
 
     def test_csv_with_a_byte_order_mark_loads_the_same_rows(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        save_csv(gen_two_moons(DomainSpec(n_samples=12)), plain)
+        write_atomic(plain, csv_text(gen_two_moons(DomainSpec(n_samples=12))))
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         a, b = load_csv(plain, SOURCE_TAG), load_csv(marked, SOURCE_TAG)
         assert a.features.tobytes() == b.features.tobytes()

@@ -8,8 +8,9 @@ UTF-8 or replaces a cell with a non-finite literal.  Each mutant goes through
 exit 1) and no traceback; a mutant refused at load leaves no ``--out``.  A run
 that diverges names the step or the evaluation and may leave a partial run
 directory behind.  An extreme argument value (a seed span too large for a
-list, a sample count or shift beyond what the generator can build) is
-refused the same way, before anything is allocated or written.
+list, a sample count or shift beyond what the generator can build, a model
+size beyond the config's caps, a config key set twice) is refused the same
+way, before anything is allocated or written.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saflab.cli import main
-from saflab.data import DomainSpec, gen_two_moons, save_csv
+from saflab.data import DomainSpec, csv_text, gen_two_moons, write_atomic
 
 # [data] comes last and names no default file, so a truncated config either
 # fails to find its data or keeps every line: no mutant trains for the
@@ -57,9 +58,9 @@ DIVERGED = re.compile(r"train step \d+: |evaluation at iteration \d+: ")
 def inputs(tmp_path_factory):
     """A config, a 16-row CSV pair and the model a 4-step run trained on them."""
     d = tmp_path_factory.mktemp("inputs")
-    save_csv(gen_two_moons(DomainSpec(n_samples=16, seed=0)), d / FILES["source"])
-    save_csv(gen_two_moons(DomainSpec(n_samples=16, seed=0, rotation_deg=35.0)),
-             d / FILES["target"])
+    write_atomic(d / FILES["source"], csv_text(gen_two_moons(DomainSpec(n_samples=16, seed=0))))
+    write_atomic(d / FILES["target"],
+                 csv_text(gen_two_moons(DomainSpec(n_samples=16, seed=0, rotation_deg=35.0))))
     (d / FILES["config"]).write_text(CONFIG, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--config", str(d / FILES["config"]), "--out", str(d / "run")]) == 0
@@ -134,6 +135,17 @@ def test_a_mutant_exits_with_a_message_or_runs(inputs, file, command, mutation):
 HUGE_SPAN = "0.." + str(10**30)
 SHIFTS = [("--noise", "noise_sd"), ("--rotation", "rotation_deg"),
           ("--translate-x", "translation"), ("--translate-y", "translation")]
+# name -> (text, what the refusal names) of configs a command must refuse
+# before it builds a model; in argv the name stands in for the file's path
+CONFIGS = {
+    "wide.cfg": (f"[model]\nbottleneck_dim = {10**30}\n", "model.bottleneck_dim"),
+    "cap.cfg": ("[model]\nsaf_dim = 4097\n", "model.saf_dim"),
+    "deep.cfg": (f"[model]\nf_widths = 8,{10**30}\n", "model.f_widths"),
+    "many.cfg": ("[model]\nsaf_bottlenecks = 65\n", "model.saf_bottlenecks"),
+    "twice.cfg": ("[train]\niterations = 4\n\n[train]\niterations = 6\n",
+                  "line 5: train.iterations is already set on line 2"),
+}
+LOADED = ["--model", "model.txt", "--source", "src.csv", "--target", "tgt.csv"]
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -144,11 +156,19 @@ SHIFTS = [("--noise", "noise_sd"), ("--rotation", "rotation_deg"),
     (["gen-data", "--scale", "1e308"], "scale"),
     (["gen-data", "--seed", "-1"], "seed"),
     *((["gen-data", f"{flag}={sign}1e308"], field) for flag, field in SHIFTS for sign in "+-"),
+    *((["gen-data", flag, "-1e308"], field) for flag, field in SHIFTS),
+    *(([command, "--config", cfg], CONFIGS[cfg][1]) for command in ("train", "ablate")
+      for cfg in CONFIGS),
+    *(([command, "--config", cfg, *LOADED], CONFIGS[cfg][1])
+      for command in ("eval", "export-embeddings") for cfg in ("wide.cfg", "twice.cfg")),
 ])
 def test_an_extreme_value_exits_with_one_message(tmp_path, argv, names):
     # every value here fails before any array or seed list is allocated
     out = tmp_path / "out"
-    code, err = call([*argv, "--out", str(out)])
+    for name, (text, _) in CONFIGS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in CONFIGS else arg for arg in argv]
+    code, err = call([*argv, *([] if argv[0] == "eval" else ["--out", str(out)])])
     lines = err.splitlines()
     assert code in (1, 2), (code, err)
     assert "Traceback" not in err

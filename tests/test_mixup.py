@@ -24,6 +24,7 @@ from saflab.mixup import MixedBatch, pseudo_label_probs
 from saflab.networks import forward_features
 
 from conftest import tiny_config
+from helpers import assert_grad_close, fd_grad
 
 
 @pytest.fixture
@@ -259,7 +260,7 @@ class TestSafSupervisionLoss:
     def test_gradient_reaches_all_blocks_in_saf_mode(self, bundle, rng):
         b, _ = bundle
         tape = Tape()
-        feats = forward_features(tape, b, rng.normal(size=(8, 2)), training=True)
+        feats = forward_features(tape, b, rng.normal(size=(8, 2)))
         mixed = mix(b, feats, MixupPolicy(), 4, tape)
         loss = saf_supervision_loss(tape, b, mixed, training=True,
                                     rng=np.random.default_rng(5))
@@ -275,7 +276,7 @@ class TestSafSupervisionLoss:
     def test_weight_module_gets_no_gradient_without_saf(self, bundle, rng, mode):
         b, _ = bundle
         tape = Tape()
-        feats = forward_features(tape, b, rng.normal(size=(8, 2)), training=True)
+        feats = forward_features(tape, b, rng.normal(size=(8, 2)))
         mixed = mix(b, feats, MixupPolicy(mode=mode), 4, tape)
         loss = saf_supervision_loss(tape, b, mixed, training=True,
                                     rng=np.random.default_rng(5))
@@ -316,3 +317,48 @@ class TestSafSupervisionLoss:
 
         expected = cross_entropy_divergence(None, logits, mixed.soft_labels.data).item()
         assert abs(loss.item() - expected) < 1e-12
+
+
+class TestSaturatedEtaGradient:
+    """M's backward where the sigmoid estimator saturates.  Every M parameter
+    is checked against central differences through saf_mixup_batch and then
+    saf_supervision_loss, so eta reaches the loss both through the mixed
+    features and through the mixed labels."""
+
+    @pytest.mark.parametrize("bias, lo, hi", [
+        (0.0, 0.01, 0.99), (7.0, 0.98, 1.0), (-7.0, 0.0, 0.01), (40.0, 1.0 - 1e-15, 1.0),
+    ])
+    def test_every_m_parameter_matches_central_differences(self, bias, lo, hi):
+        b = build_bundle(tiny_config(dropout=0.1), np.random.default_rng(11))
+        # off the relu kinks that zero-initialised biases put rows on
+        jitter = np.random.default_rng(12)
+        for p in b.parameters():
+            p.tensor.data += jitter.uniform(-0.05, 0.05, size=p.tensor.shape)
+        b.M.estimator.layers[0].b.tensor.data[...] = bias
+        feats = forward_features(None, b, np.random.default_rng(13).normal(size=(8, 2)))
+        probs = pseudo_label_probs(b, feats.data)
+
+        def mixup_loss(tape):
+            mixed = saf_mixup_batch(tape, b, feats, MixupPolicy(), np.random.default_rng(5),
+                                    pseudo_probs=probs)
+            return mixed, saf_supervision_loss(tape, b, mixed, training=True,
+                                               rng=np.random.default_rng(6))
+
+        tape = Tape()
+        mixed, loss = mixup_loss(tape)
+        assert lo <= mixed.etas.min() and mixed.etas.max() <= hi, mixed.etas
+        backward(loss, tape)
+        analytic = [p.tensor.grad.copy() for p in b.M.parameters()]
+        for p in b.parameters():
+            p.tensor.grad = None
+
+        for p, grad in zip(b.M.parameters(), analytic):
+            def loss_at(values, p=p):
+                saved = p.tensor.data.copy()
+                p.tensor.data[...] = values
+                try:
+                    return mixup_loss(None)[1].item()
+                finally:
+                    p.tensor.data[...] = saved
+
+            assert_grad_close(grad, fd_grad(loss_at, p.tensor.data))

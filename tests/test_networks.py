@@ -160,7 +160,7 @@ class TestAdversaryLogits:
 
     def _f_grad_from_adversary(self, bundle, x, lam):
         tape = Tape()
-        feats = nets.forward_features(tape, bundle, x, training=False)
+        feats = nets.forward_features(tape, bundle, x)
         adv = nets.adversary_logits(tape, bundle, feats, lam, training=False)
         loss = ad.sum_all(tape, adv)
         backward(loss, tape)
@@ -182,7 +182,7 @@ class TestAdversaryLogits:
 
         # reference graph without the reversal layer
         tape = Tape()
-        feats = nets.forward_features(tape, bundle, x, training=False)
+        feats = nets.forward_features(tape, bundle, x)
         h = bundle.B.forward(tape, feats, training=False)
         loss = ad.sum_all(tape, bundle.D.forward(tape, h, training=False))
         backward(loss, tape)

@@ -35,30 +35,30 @@ def moon_pair(n=40, seed=0):
 
 class TestSchedules:
     def test_zero_at_start(self):
-        assert lambda_d_schedule(0, 1000) == 0.0
-        assert lambda_m_schedule(0, 1000) == 0.0
+        assert lambda_d_schedule(0, 1000, 0.1) == 0.0
+        assert lambda_m_schedule(0, 1000, 0.1) == 0.0
 
     def test_endpoint_values(self):
-        assert abs(lambda_d_schedule(1000, 1000) - 0.1 * math.tanh(10)) < 1e-15
-        assert abs(lambda_m_schedule(1000, 1000) - 0.1 * math.tanh(5)) < 1e-15
-        assert abs(lambda_d_schedule(100, 1000) - 0.07615941559557648881195) < 1e-15
+        assert abs(lambda_d_schedule(1000, 1000, 0.1) - 0.1 * math.tanh(10)) < 1e-15
+        assert abs(lambda_m_schedule(1000, 1000, 0.1) - 0.1 * math.tanh(5)) < 1e-15
+        assert abs(lambda_d_schedule(100, 1000, 0.1) - 0.07615941559557648881195) < 1e-15
 
     def test_monotone_and_ordered(self):
         total = 1000
         prev_d = prev_m = -1.0
         for t in range(0, total + 1, 10):
-            d = lambda_d_schedule(t, total)
-            m = lambda_m_schedule(t, total)
+            d = lambda_d_schedule(t, total, 0.1)
+            m = lambda_m_schedule(t, total, 0.1)
             assert d >= prev_d and m >= prev_m
             assert m <= d
             prev_d, prev_m = d, m
 
     def test_clamps_long_tail(self):
-        assert lambda_d_schedule(5000, 1000) == lambda_d_schedule(1000, 1000)
+        assert lambda_d_schedule(5000, 1000, 0.1) == lambda_d_schedule(1000, 1000, 0.1)
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ConfigError):
-            lambda_d_schedule(-1, 100)
+            lambda_d_schedule(-1, 100, 0.1)
 
 
 class TestTrainStep:
@@ -85,7 +85,7 @@ class TestTrainStep:
 
         for _ in range(6):
             tape = Tape()
-            feats = forward_features(tape, bundle_b, src, training=True, rng=rng_b)
+            feats = forward_features(tape, bundle_b, src)
             logits = classify(tape, bundle_b, feats, training=True, rng=rng_b)
             loss = cross_entropy(tape, logits, src.labels)
             backward(loss, tape)
@@ -113,11 +113,10 @@ class TestTrainStep:
         lam_d = lambda_d_schedule(t, cfg.total_iterations, cfg.lambda_d_max)
         lam_m = lambda_m_schedule(t, cfg.total_iterations, cfg.lambda_m_max)
         tape = Tape()
-        feats_src = forward_features(tape, bundle_b, src, training=True, rng=rng)
+        feats_src = forward_features(tape, bundle_b, src)
         logits_src = classify(tape, bundle_b, feats_src, training=True, rng=rng)
         eps_c = cross_entropy(tape, logits_src, src.labels)
-        feats_tgt = forward_features(tape, bundle_b, tgt.without_labels(), training=True,
-                                     rng=rng)
+        feats_tgt = forward_features(tape, bundle_b, tgt.without_labels())
         d_src = adversary_logits(tape, bundle_b, feats_src, lam_d, training=True, rng=rng)
         d_tgt = adversary_logits(tape, bundle_b, feats_tgt, lam_d, training=True, rng=rng)
         eps_d = dann_domain_loss(tape, d_src, d_tgt)
