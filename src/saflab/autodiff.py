@@ -3,12 +3,12 @@
 The operation set is exactly what the adaptation networks and losses need:
 matrix product, bias add, elementwise activations, row softmax, dropout,
 batch normalization, gradient reversal, row gather/concat and a scalar
-sum, plus :func:`dense`, a whole MLP layer (matrix product,
-bias, optional batch norm, activation, optional dropout) fused into one
-operation.  Each operation records one node on an explicit :class:`Tape`:
-its inputs, its output and its backward function.  :func:`backward` walks
-the nodes in exact reverse order, accumulating gradients additively into
-every tensor that requires them.
+sum, plus :func:`dense`, a whole MLP layer (matrix product, bias, optional
+batch norm, activation, optional dropout) fused into one operation that
+reads a :class:`Layer` record.  Each operation records one node on an
+explicit :class:`Tape`: its inputs, its output and its backward function.
+:func:`backward` walks the nodes in exact reverse order, accumulating
+gradients additively into every tensor that requires them.
 :func:`dense` computes with the same array kernels as the primitive chain
 it replaces, so its values and gradients are bit-identical to that chain's.
 Everything is double precision so finite-difference checks at eps = 1e-5
@@ -24,6 +24,7 @@ explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -361,32 +362,50 @@ def batch_norm(
     return record_op(tape, (x, g_t, b_t), y, bwd)
 
 
+@dataclass(slots=True, eq=False)
+class Layer:
+    """One MLP layer, the record :func:`dense` reads.
+
+    ``name`` prefixes the names of its arrays (``"B.0"``).  ``w`` and ``b``
+    are its weight and bias, ``activation`` is ``relu``, ``sigmoid`` or
+    ``none``, and ``dropout`` is the training-mode drop rate.  A
+    batch-normalising layer also holds ``gamma``, ``beta`` and the running
+    statistics ``bn_state``; any other layer holds None in all three.
+    """
+
+    name: str
+    w: Parameter
+    b: Parameter
+    activation: str
+    dropout: float
+    gamma: Parameter | None = None
+    beta: Parameter | None = None
+    bn_state: BatchNormState | None = None
+
+
 def dense(
     tape: Tape | None,
     x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    activation: str = "none",
-    rate: float = 0.0,
+    layer: Layer,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    bn: tuple[Tensor, Tensor, BatchNormState] | None = None,
 ) -> Tensor:
-    """One MLP layer as one tape node: x @ w + b, then batch norm when
-    ``bn = (gamma, beta, state)`` is given, the activation (``relu``,
-    ``sigmoid`` or ``none``) and, for ``rate`` > 0, dropout.
+    """One MLP layer as one tape node: x @ w + b, then batch norm when the
+    layer has a ``bn_state``, the activation and, in training mode with a
+    positive ``dropout``, dropout.
 
     Values, gradients, dropout draws and running-statistic updates are
     bit-identical to the chain matmul -> add_bias -> batch_norm ->
     relu/sigmoid -> dropout: the backward replays the same kernels in
     reverse, and skips only the input gradient nobody asked for.
     """
+    w, b, state, activation = layer.w.tensor, layer.b.tensor, layer.bn_state, layer.activation
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {x.shape} x {w.shape}")
     y = x.data @ w.data + b.data
     inputs: tuple[Tensor, ...] = (x, w, b)
-    if bn is not None:
-        gamma, beta, state = bn
+    if state is not None:
+        gamma, beta = layer.gamma.tensor, layer.beta.tensor
         y, xhat, ivar = _bn_forward(y, gamma.data, beta.data, state, training)
         inputs = (x, w, b, gamma, beta)
     if activation == "relu":
@@ -396,8 +415,8 @@ def dense(
     elif activation != "none":
         raise ConfigError(f"unknown activation {activation!r}")
     keep = None
-    if training and rate > 0.0:
-        keep = _dropout_mask(y.shape, rate, rng)
+    if training and layer.dropout > 0.0:
+        keep = _dropout_mask(y.shape, layer.dropout, rng)
         y = y * keep
 
     def bwd(g):
@@ -408,7 +427,7 @@ def dense(
         elif activation == "sigmoid":
             g = _sigmoid_grad(g, s)
         bn_grads = ()
-        if bn is not None:
+        if state is not None:
             g, dgamma, dbeta = _bn_backward(g, gamma.data, xhat, ivar, training)
             bn_grads = (dgamma, dbeta)
         dx = g @ w.data.T if x.requires_grad else None

@@ -40,11 +40,13 @@ _BLOB_CENTERS = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we promise 1.  A negative
-    number in exponent form (``-1e3``, ``-.5E-2``) is a value, not an option."""
+    number in exponent form (``-1e3``, ``-.5E-2``) or a negative ``inf``,
+    ``infinity`` or ``nan`` in any case is a value, not an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -24,6 +24,7 @@ TARGET_TAG = 1
 # coordinate (about scale * (2 + noise) + translation) stays finite
 MAX_SAMPLES = 10**6
 MAX_MAGNITUDE = 1e6
+MAX_LABEL = int(np.iinfo(np.intp).max)  # a label array is intp
 
 
 @dataclass
@@ -40,7 +41,8 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.generator not in ("two_moons", "gaussian_blobs"):
-            raise ConfigError(f"unknown generator {self.generator!r}")
+            raise ConfigError(f"generator must be two_moons or gaussian_blobs, "
+                              f"got {self.generator!r}")
         if not 2 <= self.n_samples <= MAX_SAMPLES:
             raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {self.n_samples}")
         if self.seed < 0:
@@ -53,7 +55,7 @@ class DomainSpec:
                 raise ConfigError(f"{name} must be at most {MAX_MAGNITUDE:g} in magnitude, "
                                   f"got {value}")
         if self.noise_sd < 0:
-            raise ConfigError(f"noise sd must be >= 0, got {self.noise_sd}")
+            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
 
@@ -205,8 +207,9 @@ def load_csv(path, domain_tag: int) -> Batch:
     """Parse a labeled feature CSV: feature columns, then a ``label`` column.
 
     Rows are numbered from 1 counting the header line, so the first data row
-    is row 2.  Ragged rows, non-numeric or non-finite cells and negative or
-    fractional labels raise CsvParseError naming the row.
+    is row 2.  Ragged rows, non-numeric or non-finite cells, and labels that
+    are fractional, negative or beyond ``MAX_LABEL`` raise CsvParseError
+    naming the row.
     """
     raw = Path(path).read_bytes()
     lines = [ln for ln in decode_text(raw, path, CsvParseError).splitlines() if ln.strip() != ""]
@@ -236,8 +239,8 @@ def load_csv(path, domain_tag: int) -> Batch:
         except ValueError:
             raise CsvParseError(f"{path}: row {lineno}: label {cell!r} is not an integer") \
                 from None
-        if lab < 0:
-            raise CsvParseError(f"{path}: row {lineno}: label {lab} is negative")
+        if not 0 <= lab <= MAX_LABEL:
+            raise CsvParseError(f"{path}: row {lineno}: label {lab} is not in [0, {MAX_LABEL}]")
         labels.append(lab)
     if not feats:
         raise CsvParseError(f"{path}: no data rows")

@@ -14,22 +14,9 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Parameter, ParamBuffer, Tape, Tensor
+from .autodiff import BatchNormState, Layer, Parameter, ParamBuffer, Tape, Tensor
 from .data import read_text, write_atomic
 from .exceptions import DataError, ShapeError, StateError
-
-
-class _Layer:
-    __slots__ = ("w", "b", "activation", "dropout", "gamma", "beta", "bn_state")
-
-    def __init__(self, w, b, activation, dropout, gamma=None, beta=None, bn_state=None):
-        self.w = w
-        self.b = b
-        self.activation = activation
-        self.dropout = dropout
-        self.gamma = gamma
-        self.beta = beta
-        self.bn_state = bn_state
 
 
 def _init_weight(fan_in: int, fan_out: int, activation: str, rng: np.random.Generator):
@@ -41,72 +28,58 @@ def _init_weight(fan_in: int, fan_out: int, activation: str, rng: np.random.Gene
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class MLP:
-    """Stack of FC -> [batch norm] -> activation -> [dropout] layers, each
-    recorded as one :func:`saflab.autodiff.dense` tape node; ``layers`` holds
-    one ``(width, "relu" | "sigmoid" | "none", dropout, batch_norm)`` row each."""
+class _Layers:
+    """The one parameter walk, layer by layer over ``self.layers``."""
+
+    def parameters(self):
+        for layer in self.layers:
+            yield from (p for p in (layer.w, layer.b, layer.gamma, layer.beta) if p is not None)
+
+    def named_arrays(self):
+        """All persistent arrays: each layer's w, b, gamma and beta, then its
+        batch-norm running statistics."""
+        for layer in self.layers:
+            yield from ((p.name, p.tensor.data)
+                        for p in (layer.w, layer.b, layer.gamma, layer.beta) if p is not None)
+            if layer.bn_state is not None:
+                yield f"{layer.name}.bn_mean", layer.bn_state.mean
+                yield f"{layer.name}.bn_var", layer.bn_state.var
+
+
+class MLP(_Layers):
+    """Stack of FC -> [batch norm] -> activation -> [dropout] layers, each an
+    :class:`~saflab.autodiff.Layer` run as one :func:`saflab.autodiff.dense`
+    tape node; the constructor's ``layers`` holds one ``(width, "relu" |
+    "sigmoid" | "none", dropout, batch_norm)`` row each."""
 
     def __init__(self, in_dim: int, layers, rng: np.random.Generator,
                  lr_multiplier: float, name: str):
         self.name = name
         self.in_dim = in_dim
-        self.layers: list[_Layer] = []
+        self.layers: list[Layer] = []
         fan_in = in_dim
         for i, (width, act, rate, bn) in enumerate(layers):
-            w = Parameter(_init_weight(fan_in, width, act, rng), lr_multiplier, f"{name}.{i}.w")
-            b = Parameter(np.zeros((1, width)), lr_multiplier, f"{name}.{i}.b")
-            gamma = beta = state = None
+            prefix = f"{name}.{i}"
+            w = Parameter(_init_weight(fan_in, width, act, rng), lr_multiplier, f"{prefix}.w")
+            b = Parameter(np.zeros((1, width)), lr_multiplier, f"{prefix}.b")
+            layer = Layer(prefix, w, b, act, rate)
             if bn:
-                gamma = Parameter(np.ones((1, width)), lr_multiplier, f"{name}.{i}.bn_gamma")
-                beta = Parameter(np.zeros((1, width)), lr_multiplier, f"{name}.{i}.bn_beta")
-                state = BatchNormState(width)
-            self.layers.append(_Layer(w, b, act, rate, gamma, beta, state))
+                layer.gamma = Parameter(np.ones((1, width)), lr_multiplier, f"{prefix}.bn_gamma")
+                layer.beta = Parameter(np.zeros((1, width)), lr_multiplier, f"{prefix}.bn_beta")
+                layer.bn_state = BatchNormState(width)
+            self.layers.append(layer)
             fan_in = width
 
     def forward(self, tape: Tape | None, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         if x.cols != self.in_dim:
             raise ShapeError(f"{self.name} expects width {self.in_dim}, got {x.cols}")
-        h = x
         for layer in self.layers:
-            bn = None
-            if layer.bn_state is not None:
-                bn = (layer.gamma.tensor, layer.beta.tensor, layer.bn_state)
-            h = ad.dense(tape, h, layer.w.tensor, layer.b.tensor, layer.activation,
-                         layer.dropout, training, rng, bn)
-        return h
-
-    def parameters(self):
-        for layer in self.layers:
-            yield layer.w
-            yield layer.b
-            if layer.gamma is not None:
-                yield layer.gamma
-                yield layer.beta
-
-    def named_arrays(self):
-        """All persistent arrays: parameters plus batch-norm running stats."""
-        for p in self.parameters():
-            yield p.name, p.tensor.data
-        for i, layer in enumerate(self.layers):
-            if layer.bn_state is not None:
-                yield f"{self.name}.{i}.bn_mean", layer.bn_state.mean
-                yield f"{self.name}.{i}.bn_var", layer.bn_state.var
+            x = ad.dense(tape, x, layer, training, rng)
+        return x
 
 
-class _Blocks:
-    """Parameters and persistent arrays of the MLPs in ``self.blocks``, in order."""
-
-    def parameters(self):
-        for block in self.blocks:
-            yield from block.parameters()
-
-    def named_arrays(self):
-        for block in self.blocks:
-            yield from block.named_arrays()
-
-
-class SAFModule(_Blocks):
+class SAFModule(_Layers):
     """Parallel feature bottlenecks plus a sigmoid weight estimator."""
 
     def __init__(self, in_dim: int, saf_dim: int, count: int,
@@ -116,10 +89,11 @@ class SAFModule(_Blocks):
                                 f"{name}.s{i}") for i in range(count)]
         self.estimator = MLP(saf_dim, [(1, "sigmoid", 0.0, False)], rng, lr_multiplier,
                              f"{name}.eta")
-        self.blocks = (*self.bottlenecks, self.estimator)
+        self.layers = [layer for block in (*self.bottlenecks, self.estimator)
+                       for layer in block.layers]
 
 
-class ModelBundle(_Blocks):
+class ModelBundle(_Layers):
     """F, B, C, D and M, built by :func:`build_bundle` from a checked config.
 
     ``buffer`` packs every parameter, in :meth:`parameters` order, into one
@@ -129,6 +103,7 @@ class ModelBundle(_Blocks):
     def __init__(self, F: MLP, B: MLP, C: MLP, D: MLP, M: SAFModule, num_classes: int):
         self.blocks = (F, B, C, D, M)
         self.F, self.B, self.C, self.D, self.M = self.blocks
+        self.layers = [layer for block in self.blocks for layer in block.layers]
         self.num_classes = num_classes
         self.buffer = ParamBuffer(self.parameters())
 

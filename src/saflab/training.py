@@ -301,12 +301,12 @@ def evaluate(
     Deterministic: the mixup loss uses a generator freshly seeded from the
     config, so calling twice yields identical records.  Target labels are
     consumed only here.  Raises :class:`StateError` when a parameter, a
-    running statistic of B (the only block with batch norm), the features or
-    the logits hold NaN or inf: a diverged model has no meaningful metrics.
+    batch-norm running statistic, the features or the logits hold NaN or
+    inf: a diverged model has no meaningful metrics.
     """
     if src_eval.labels is None or tgt_eval.labels is None:
         raise DataError("evaluation batches must carry labels")
-    stats = [s for layer in bundle.B.layers if layer.bn_state is not None
+    stats = [s for layer in bundle.layers if layer.bn_state is not None
              for s in (layer.bn_state.mean, layer.bn_state.var)]
     if not all(np.isfinite(a).all() for a in (bundle.buffer.data, *stats)):
         name = next(n for n, a in bundle.named_arrays() if not np.isfinite(a).all())

@@ -328,8 +328,7 @@ class TestDense:
     @staticmethod
     def _fused(tape, x, layer, training, rng):
         w, b, act, rate, norm = layer
-        bn = None if norm is None else (norm[0].tensor, norm[1].tensor, norm[2])
-        return ad.dense(tape, x, w.tensor, b.tensor, act, rate, training, rng, bn)
+        return ad.dense(tape, x, ad.Layer("l", w, b, act, rate, *(norm or ())), training, rng)
 
     def _run(self, forward, kind, training):
         """x feeds two calls of one layer, so both x and every parameter
@@ -398,7 +397,7 @@ class TestDense:
     def test_shape_mismatch(self):
         w, b, act, rate, _ = self._layer("relu")
         with pytest.raises(ShapeError):
-            ad.dense(None, t(np.ones((2, 3))), w.tensor, b.tensor, act)
+            ad.dense(None, t(np.ones((2, 3))), ad.Layer("l", w, b, act, rate))
 
 
 class TestGradReverse:

@@ -27,14 +27,12 @@ from saflab.data import (
 
 class TestDomainSpec:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            DomainSpec(n_samples=1)
-        with pytest.raises(ConfigError):
-            DomainSpec(noise_sd=-0.1)
-        with pytest.raises(ConfigError):
-            DomainSpec(scale=0.0)
-        with pytest.raises(ConfigError):
-            DomainSpec(generator="spiral")
+        # every refusal starts with the field it names
+        for field, value in [("generator", "spiral"), ("n_samples", 1), ("seed", -1),
+                             ("noise_sd", -0.1), ("noise_sd", np.nan), ("rotation_deg", 1e7),
+                             ("translation", (0.0, -np.inf)), ("scale", 0.0), ("scale", 2e6)]:
+            with pytest.raises(ConfigError, match=f"^{field} must "):
+                DomainSpec(**{field: value})
 
 
 class TestTwoMoons:
