@@ -119,7 +119,7 @@ class ModelBundle(_Layers):
         write_atomic(path, "\n".join(lines) + "\n")
 
     def load_params(self, path) -> None:
-        records = {}
+        records, lines = {}, {}
         for lineno, line in enumerate(read_text(path, DataError).split("\n"), 1):
             line = line.strip()
             if not line:
@@ -129,6 +129,8 @@ class ModelBundle(_Layers):
             if len(parts) < 3:
                 raise DataError(f"{where}: a record needs a name, rows and cols")
             name = parts[0]
+            if name in lines:
+                raise DataError(f"{where}: record {name!r} is already set on line {lines[name]}")
             try:
                 what = "shape"
                 rows, cols = int(parts[1]), int(parts[2])
@@ -141,7 +143,7 @@ class ModelBundle(_Layers):
                                 f"{rows}x{cols}")
             if not np.isfinite(vals).all():
                 raise DataError(f"{where}: record {name!r} holds a non-finite value")
-            records[name] = vals.reshape(rows, cols)
+            records[name], lines[name] = vals.reshape(rows, cols), lineno
         own = dict(self.named_arrays())
         missing = sorted(set(own) - set(records))
         extra = sorted(set(records) - set(own))

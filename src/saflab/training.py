@@ -31,12 +31,13 @@ from .losses import (
     empirical_mdd_estimate,
     mdd_adversarial_loss,
 )
-from .mixup import MixupPolicy, pseudo_label_probs, saf_mixup_batch, saf_supervision_loss
+from .mixup import MixupPolicy, saf_mixup_batch, saf_supervision_loss
 from .networks import ModelBundle, adversary_logits, build_bundle, classify, forward_features
 
-# size caps that keep a bundle buildable; a width covers 2048-wide extracted features
+# caps that keep a bundle buildable (a width covers 2048-wide features) and a run finite
 MAX_WIDTH = 4096
 MAX_BOTTLENECKS = 64
+MAX_ITERATIONS = 10**7
 
 
 @dataclass
@@ -69,11 +70,11 @@ class TrainConfig:
         if self.backbone not in ("dann", "mdd"):
             raise ConfigError(f"backbone must be dann or mdd, got {self.backbone!r}")
         inf = math.inf
-        bounds = {"total_iterations": (1, inf), "batch_size": (2, inf), "momentum": (0, inf),
-                  "lambda_d_max": (0, inf), "lambda_m_max": (0, inf), "eval_every": (1, inf),
-                  "seed": (0, inf), "num_classes": (2, MAX_WIDTH), "input_dim": (1, MAX_WIDTH),
-                  "bottleneck_dim": (1, MAX_WIDTH), "saf_dim": (1, MAX_WIDTH),
-                  "saf_bottlenecks": (1, MAX_BOTTLENECKS)}
+        bounds = {"total_iterations": (1, MAX_ITERATIONS), "batch_size": (2, inf),
+                  "momentum": (0, inf), "lambda_d_max": (0, inf), "lambda_m_max": (0, inf),
+                  "eval_every": (1, inf), "seed": (0, inf), "num_classes": (2, MAX_WIDTH),
+                  "input_dim": (1, MAX_WIDTH), "bottleneck_dim": (1, MAX_WIDTH),
+                  "saf_dim": (1, MAX_WIDTH), "saf_bottlenecks": (1, MAX_BOTTLENECKS)}
         for name, (lo, hi) in bounds.items():
             value = getattr(self, name)
             if not lo <= value <= hi:
@@ -139,9 +140,9 @@ def lambda_m_schedule(t: int, total: int, max_value: float) -> float:
 @dataclass
 class Objective:
     """One evaluation of the joint objective: its terms plus the activations
-    the evaluation diagnostics read, among them the eval-mode target logits and
-    softmax (in a training step only for mdd, or for the mixup before B) and
-    mdd's eval-mode source softmax."""
+    the evaluation diagnostics read, among them the eval-mode softmax of each
+    domain and the target logits (in a training step only for mdd, and the
+    target's also for the mixup before B)."""
 
     total: Tensor
     eps_c: Tensor
@@ -183,56 +184,58 @@ def objective(
     it is exactly 0 the adversarial term is computed out of graph in eval
     mode and left out of ``total``, so the step matches plain supervised
     training.  In training mode a mixed batch of fewer than 2 rows (batch
-    norm needs 2) contributes 0, like an empty one.  The mixup's target
-    pseudo-labels are decided here: the eval-mode target softmax, or, when a
-    training step mixes after B, eval-mode C on the B outputs that get mixed.
+    norm needs 2) contributes 0, like an empty one.
 
     F has no dropout and no batch norm, so its output is the same in either
-    mode: the eval-mode pseudo-label and adversary passes reuse the features
-    computed here.  In eval mode B is pure and the gradient reversal an
-    identity, so each domain passes through B once, for C, D and the
-    ``after_bottleneck`` mixup.  Every training-mode B pass updates B's
-    running statistics, in a fixed order: an mdd+saf step makes 4 -- source
-    classify, source adversary, target adversary, then the mixed rows (with
-    ``after_bottleneck`` the mixing inputs, target then source, instead of
-    the mixed rows).  B normalises each domain's batch on its own, unlike the
-    reference code of DANN and MDD, which passes one concatenated
-    source+target batch; changing that changes the numerics.
+    mode.  After the training-mode passes (source classify, then the
+    adversary on each domain when it is in graph) each domain passes through
+    eval-mode B, which is pure, at most once.  C and D read those outputs
+    for every eval-mode view: the pseudo-labels of mdd and of the mixup, the
+    out-of-graph adversary, and evaluate's logits and ``after_bottleneck``
+    mixup.  A training step that mixes after B labels its training-mode B
+    outputs with eval-mode C instead.  Every training-mode B pass updates
+    B's running statistics, in a fixed order: an mdd+saf step makes 4 --
+    source classify, source adversary, target adversary, then the mixed rows
+    (with ``after_bottleneck`` the mixing inputs, target then source,
+    instead of the mixed rows).  B normalises each domain's batch on its
+    own, unlike the reference code of DANN and MDD, which passes one
+    concatenated source+target batch; changing that changes the numerics.
     """
     if src.labels is None:
         raise DataError("source batches must carry labels")
     lam_d = lambda_d_schedule(t, config.total_iterations, config.lambda_d_max)
     lam_m = lambda_m_schedule(t, config.total_iterations, config.lambda_m_max)
     training = tape is not None
+    adv_in_graph = training and lam_d > 0.0
+    adv_tape = tape if adv_in_graph else None
+    after = config.mixup_after_bottleneck
 
     feats_src = forward_features(tape, bundle, src)
     feats_tgt = forward_features(tape, bundle, tgt)
-    adv_tape, adv_training = (tape, training) if lam_d > 0.0 else (None, False)
-    after = config.mixup_after_bottleneck
-    h_src = h_tgt = logits_tgt = probs_src = None
     if training:
         logits_src = classify(tape, bundle, feats_src, training, rng)
-        d_src = adversary_logits(adv_tape, bundle, feats_src, lam_d, adv_training, rng)
-        d_tgt = adversary_logits(adv_tape, bundle, feats_tgt, lam_d, adv_training, rng)
-        # eval mode, after the adversary's B passes: mdd's target pseudo-labels,
-        # and the mixup's unless it mixes training-mode B outputs
-        if config.backbone == "mdd" or (config.saf_enabled and not after):
-            logits_tgt = classify(None, bundle, feats_tgt)
-    else:
-        h_src, h_tgt = bundle.B.forward(None, feats_src), bundle.B.forward(None, feats_tgt)
-        logits_src, logits_tgt = bundle.C.forward(None, h_src), bundle.C.forward(None, h_tgt)
+        if adv_in_graph:
+            d_src = adversary_logits(tape, bundle, feats_src, lam_d, training, rng)
+            d_tgt = adversary_logits(tape, bundle, feats_tgt, lam_d, training, rng)
+    label_src = config.backbone == "mdd" or not training
+    label_tgt = label_src or (config.saf_enabled and not after)
+    h_src = bundle.B.forward(None, feats_src) if label_src or not adv_in_graph else None
+    h_tgt = bundle.B.forward(None, feats_tgt) if label_tgt or not adv_in_graph else None
+    if not adv_in_graph:
         d_src, d_tgt = bundle.D.forward(None, h_src), bundle.D.forward(None, h_tgt)
+    logits_tgt = probs_src = probs_tgt = None
+    if label_src:
+        view_src = bundle.C.forward(None, h_src)
+        logits_src = logits_src if training else view_src
+        probs_src = ad.softmax_rows(None, view_src).data
+    if label_tgt:
+        logits_tgt = bundle.C.forward(None, h_tgt)
+        probs_tgt = ad.softmax_rows(None, logits_tgt).data
     eps_c = cross_entropy(tape, logits_src, src.labels)
     total = eps_c
-    # eval-mode target probabilities: the pseudo-labels of mdd and of the mixup,
-    # and evaluate's target metrics
-    probs_tgt = None if logits_tgt is None else ad.softmax_rows(None, logits_tgt).data
     if config.backbone == "dann":
         eps_d = dann_domain_loss(adv_tape, d_src, d_tgt)
     else:
-        # in eval mode logits_src already is the pseudo-label pass
-        probs_src = (pseudo_label_probs(bundle, feats_src.data) if training
-                     else ad.softmax_rows(None, logits_src).data)
         eps_d = mdd_adversarial_loss(adv_tape, Tensor(probs_src), d_src, Tensor(probs_tgt),
                                      d_tgt, config.margin_params())
     if lam_d > 0.0:
@@ -240,18 +243,16 @@ def objective(
 
     eps_m = Tensor([[0.0]])
     if config.saf_enabled:
-        def mix_view(feats: Tensor, h: Tensor | None) -> Tensor:
-            if not after:
-                return feats
-            return bundle.B.forward(tape, feats, training, rng) if h is None else h
-
-        mix_input = mix_view(feats_tgt, h_tgt)
-        pseudo = probs_tgt
-        if after and training:  # label the training-mode B outputs that get mixed
-            pseudo = ad.softmax_rows(None, bundle.C.forward(None, mix_input)).data
-        src_mix = mix_view(feats_src, h_src) if config.mixup.include_source else None
-        mixed = saf_mixup_batch(tape, bundle, mix_input, config.mixup, rng, pseudo_probs=pseudo,
-                                src_features=src_mix, src_labels=src.labels)
+        if after and training:  # mix, and label, the training-mode B outputs
+            mix_tgt = bundle.B.forward(tape, feats_tgt, training, rng)
+            pseudo = ad.softmax_rows(None, bundle.C.forward(None, mix_tgt)).data
+            mix_src = (bundle.B.forward(tape, feats_src, training, rng)
+                       if config.mixup.include_source else None)
+        else:
+            mix_tgt, mix_src = (h_tgt, h_src) if after else (feats_tgt, feats_src)
+            pseudo = probs_tgt
+        mixed = saf_mixup_batch(tape, bundle, mix_tgt, config.mixup, rng, pseudo_probs=pseudo,
+                                src_features=mix_src, src_labels=src.labels)
         if len(mixed) >= 2 or not training:
             eps_m = saf_supervision_loss(tape, bundle, mixed, training, rng,
                                          through_bottleneck=not after)
@@ -325,11 +326,9 @@ def evaluate(
 
     if obj.d_src.cols == config.num_classes:
         params = config.margin_params()
-        probs_s = (ad.softmax_rows(None, obj.logits_src).data if obj.probs_src is None
-                   else obj.probs_src)
         probs_d_s = ad.softmax_rows(None, obj.d_src).data
         probs_d_t = ad.softmax_rows(None, obj.d_tgt).data
-        delta_s = empirical_margin_disparity(probs_s, probs_d_s, params.rho)
+        delta_s = empirical_margin_disparity(obj.probs_src, probs_d_s, params.rho)
         delta_t = empirical_margin_disparity(obj.probs_tgt, probs_d_t, params.rho)
         mdd_est = empirical_mdd_estimate(delta_s, delta_t)
     else:

@@ -1,4 +1,5 @@
-"""Shared finite-difference oracle, the golden-run harness and small test utilities."""
+"""Shared finite-difference oracle, the golden-run harness, call counters and small
+test utilities."""
 
 import hashlib
 from dataclasses import replace
@@ -51,6 +52,30 @@ def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
         return (np.full(x.shape, g[0, 0] / n),)
 
     return record_op(tape, (x,), np.array([[x.data.sum() / n]]), bwd)
+
+
+def counting(calls, key, fn, counts=lambda *args, **kw: True):
+    """``fn`` wrapped to add ``counts(*args, **kw)`` to ``calls[key]`` on each call."""
+    calls.setdefault(key, 0)
+
+    def wrapper(*args, **kw):
+        calls[key] += counts(*args, **kw)
+        return fn(*args, **kw)
+    return wrapper
+
+
+def _eval_mode(tape, x, training=False, rng=None):
+    return tape is None and not training
+
+
+def count_eval_forwards(monkeypatch, bundle, blocks):
+    """Count the eval-mode forwards (no tape, not training) of each block named in
+    ``blocks``; returns the live ``{name: count}`` dict, which other counters may join."""
+    calls = {}
+    for key in blocks:
+        block = getattr(bundle, key)
+        monkeypatch.setattr(block, "forward", counting(calls, key, block.forward, _eval_mode))
+    return calls
 
 
 def golden_data(n_source, n_target, generate=gen_two_moons):

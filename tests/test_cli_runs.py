@@ -556,6 +556,29 @@ class TestCli:
         assert err.startswith(f"saflab: error: {model}, line 2: {reason}"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_repeated_model_record_exits_two(self, data_dir, tmp_path, capsys, command):
+        # an edited copy of a record appended to a trained model.txt is refused,
+        # not loaded over the original
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(data_dir / "tiny.cfg"), "--out", str(run)]) == 0
+        capsys.readouterr()
+        model = run / "seed_0" / "model.txt"
+        lines = model.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("F.0.w ")
+        model.write_text("\n".join([*lines, lines[0].rsplit(" ", 1)[0] + " 0.5"]) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "emb"
+        argv = [command, "--config", str(data_dir / "tiny.cfg"), "--model", str(model),
+                "--source", str(data_dir / "source.csv"),
+                "--target", str(data_dir / "target.csv")]
+        if command == "export-embeddings":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"saflab: error: {model}, line {len(lines) + 1}: "
+                                           "record 'F.0.w' is already set on line 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, command", [
         ("config", "train"), ("config", "ablate"), ("config", "eval"), ("csv", "train"),
         ("csv", "export-embeddings"), ("model", "eval"), ("model", "export-embeddings"),

@@ -20,7 +20,7 @@ from saflab.config import (
 )
 from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
 from saflab.networks import MLP
-from saflab.training import MAX_BOTTLENECKS, MAX_WIDTH
+from saflab.training import MAX_BOTTLENECKS, MAX_ITERATIONS, MAX_WIDTH
 
 
 def _parses_floats(key) -> bool:
@@ -131,9 +131,11 @@ class TestParsing:
         pairs = {("model", k): str(MAX_WIDTH) for k in widths}
         pairs[("model", "f_widths")] = f"{MAX_WIDTH},{MAX_WIDTH}"
         pairs[("model", "saf_bottlenecks")] = str(MAX_BOTTLENECKS)
+        pairs[("train", "iterations")] = str(MAX_ITERATIONS)
         train = build_config(pairs).train
         assert [getattr(train, k) for k in widths] == [MAX_WIDTH] * 4
         assert (train.f_widths, train.saf_bottlenecks) == ((MAX_WIDTH,) * 2, MAX_BOTTLENECKS)
+        assert train.total_iterations == MAX_ITERATIONS
 
     def test_float_keys(self):
         assert {k.key for k in _FLOAT_KEYS} == {
@@ -160,6 +162,7 @@ class TestParsing:
         ("model.f_widths", str(10**30)), ("model.bottleneck_dim", str(10**30)),
         ("model.saf_dim", "4097"), ("model.num_classes", str(10**30)),
         ("model.saf_bottlenecks", "65"), ("model.saf_bottlenecks", str(10**30)),
+        ("train.iterations", str(MAX_ITERATIONS + 1)),
     ])
     def test_range_error_names_key(self, key, value):
         section, name = key.split(".")

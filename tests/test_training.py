@@ -24,6 +24,7 @@ from saflab.networks import classify, forward_features
 from saflab.autodiff import Tape, backward
 
 from conftest import tiny_config
+from helpers import count_eval_forwards, counting
 
 
 def moon_pair(n=40, seed=0):
@@ -184,20 +185,26 @@ class TestTrainStep:
         cfg = tiny_config(backbone=backbone, saf_enabled=saf, mixup_after_bottleneck=after)
         src, tgt = moon_pair(16)
         bundle = build_bundle(cfg, np.random.default_rng(2))
-        calls = {"B": 0, "C": 0}
-
-        def eval_counted(key, forward):
-            def wrapper(tape, x, training=False, rng=None):
-                calls[key] += tape is None and not training
-                return forward(tape, x, training, rng)
-            return wrapper
-
-        for key in ("B", "C"):
-            block = getattr(bundle, key)
-            monkeypatch.setattr(block, "forward", eval_counted(key, block.forward))
+        calls = count_eval_forwards(monkeypatch, bundle, "BC")
         # t = 2: lambda_d > 0, so the adversary runs in training mode
         train_step(bundle, src, tgt.without_labels(), cfg, 2, np.random.default_rng(3))
         assert (calls["B"], calls["C"]) == passes
+
+    @pytest.mark.parametrize("backbone", ["dann", "mdd"])
+    @pytest.mark.parametrize("saf", [False, True])
+    def test_out_of_graph_adversary_reads_the_eval_passes(self, monkeypatch, backbone, saf):
+        # t = 0: lambda_d = 0, so D runs out of graph on the one eval-mode B pass
+        # of each domain, the pass that also gives the pseudo-labels; neither the
+        # adversary path nor the gradient reversal runs
+        cfg = tiny_config(backbone=backbone, saf_enabled=saf)
+        src, tgt = moon_pair(16)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        calls = count_eval_forwards(monkeypatch, bundle, "BD")
+        monkeypatch.setattr(tr, "adversary_logits",
+                            counting(calls, "adversary", tr.adversary_logits))
+        monkeypatch.setattr(ad, "grad_reverse", counting(calls, "grad_reverse", ad.grad_reverse))
+        train_step(bundle, src, tgt.without_labels(), cfg, 0, np.random.default_rng(3))
+        assert calls == {"B": 2, "D": 2, "adversary": 0, "grad_reverse": 0}
 
 
 class TestEvaluate:
@@ -241,28 +248,6 @@ class TestEvaluate:
         rec = evaluate(bundle, src, tgt, cfg)
         assert not math.isnan(rec.mdd_est)
 
-
-    def test_mdd_pseudo_label_pass_only_in_training(self, monkeypatch):
-        # evaluate takes the source pseudo-labels from its own eval-mode
-        # source logits; a training step needs its own eval-mode pass
-        cfg = tiny_config(backbone="mdd")
-        src, tgt = moon_pair(20)
-        bundle = build_bundle(cfg, np.random.default_rng(2))
-        calls = []
-        real = tr.pseudo_label_probs
-
-        def count(*args, **kw):
-            calls.append(args[1].shape)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(tr, "pseudo_label_probs", count)
-        evaluate(bundle, src, tgt, cfg)
-        assert calls == []
-        rng = np.random.default_rng(3)
-        for t in range(3):
-            train_step(bundle, src, tgt.without_labels(), cfg, t, rng)
-        assert len(calls) == 3
-
     @pytest.mark.parametrize("backbone", ["dann", "mdd"])
     @pytest.mark.parametrize("after, b_passes", [(False, 3), (True, 2)])
     def test_each_domain_passes_through_b_once(self, monkeypatch, backbone, after, b_passes):
@@ -273,16 +258,8 @@ class TestEvaluate:
         cfg = tiny_config(backbone=backbone, mixup_after_bottleneck=after)
         src, tgt = moon_pair(20)
         bundle = build_bundle(cfg, np.random.default_rng(2))
-        calls = {"B": 0, "softmax": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kw):
-                calls[key] += 1
-                return fn(*args, **kw)
-            return wrapper
-
-        monkeypatch.setattr(bundle.B, "forward", counted("B", bundle.B.forward))
-        monkeypatch.setattr(ad, "softmax_rows", counted("softmax", ad.softmax_rows))
+        calls = count_eval_forwards(monkeypatch, bundle, "B")
+        monkeypatch.setattr(ad, "softmax_rows", counting(calls, "softmax", ad.softmax_rows))
         evaluate(bundle, src, tgt, cfg, iteration=3)
         assert calls == {"B": b_passes, "softmax": 4}
 
