@@ -7,12 +7,15 @@ sum, plus :func:`dense`, a whole MLP layer (matrix product, bias, optional
 batch norm, activation, optional dropout) fused into one operation that
 reads a :class:`Layer` record.  Each operation records one node on an
 explicit :class:`Tape`: its inputs, its output and its backward function.
-:func:`backward` walks the nodes in exact reverse order, accumulating
-gradients additively into every tensor that requires them.
-:func:`dense` computes with the same array kernels as the primitive chain
-it replaces, so its values and gradients are bit-identical to that chain's.
-Everything is double precision so finite-difference checks at eps = 1e-5
-resolve cleanly.
+A forward computes its output and nothing else; its backward reads the
+inputs, and any array the forward kept, when it runs.  No operation writes
+into an array it was given or returned, so an identity forward passes its
+input's array on.  :func:`backward` walks the nodes in exact reverse
+order, accumulating gradients additively into every tensor that requires
+them.  :func:`dense` computes with the same array kernels as the primitive
+chain it replaces, so its values and gradients are bit-identical to that
+chain's.  Everything is double precision so finite-difference checks at
+eps = 1e-5 resolve cleanly.
 
 A :class:`ParamBuffer` packs parameters into one contiguous vector, so
 :func:`sgd_nesterov_step` updates all of them with a few vector operations.
@@ -96,8 +99,10 @@ def record_op(
     ``data`` must already be a 2-D float64 array: it needs none of
     ``Tensor()``'s conversion and shape checks.  ``backward_fn(g)`` receives
     dL/d(out) and returns one gradient per input (``None`` for inputs that
-    get none).  This is the extension point composite losses use to define
-    fused operations.
+    get none), reading the inputs' arrays as they are when it runs.  No op
+    writes into an array it was given or returned, so ``data`` may be an
+    input's own array.  This is the extension point composite losses use to
+    define fused operations.
     """
     out = object.__new__(Tensor)
     out.data = data
@@ -136,11 +141,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # count) behind a Python-level wrapper
 def _colsum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, keepdims=True)
-
-
-def _relu(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # subgradient 0 at exactly 0
-    return np.maximum(d, 0.0), d > 0.0
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
@@ -272,12 +272,10 @@ def mul_colvec(tape: Tape | None, x: Tensor, c: Tensor) -> Tensor:
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
-    y, gate = _relu(x.data)
-
     def bwd(g):
-        return (g * gate,)
+        return (g * (x.data > 0.0),)  # subgradient 0 at exactly 0
 
-    return record_op(tape, (x,), y, bwd)
+    return record_op(tape, (x,), np.maximum(x.data, 0.0), bwd)
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
@@ -319,18 +317,12 @@ def dropout(
     """Inverted dropout: scale survivors by 1/(1-rate) so eval is identity."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-
-        def bwd_id(g):
-            return (g,)
-
-        return record_op(tape, (x,), x.data.copy(), bwd_id)
-    keep = _dropout_mask(x.shape, rate, rng)
+    keep = _dropout_mask(x.shape, rate, rng) if training and rate > 0.0 else None
 
     def bwd(g):
-        return (g * keep,)
+        return (g if keep is None else g * keep,)
 
-    return record_op(tape, (x,), x.data * keep, bwd)
+    return record_op(tape, (x,), x.data if keep is None else x.data * keep, bwd)
 
 
 class BatchNormState:
@@ -409,7 +401,7 @@ def dense(
         y, xhat, ivar = _bn_forward(y, gamma.data, beta.data, state, training)
         inputs = (x, w, b, gamma, beta)
     if activation == "relu":
-        y, gate = _relu(y)
+        pre, y = y, np.maximum(y, 0.0)
     elif activation == "sigmoid":
         y = s = _sigmoid(y)
     elif activation != "none":
@@ -423,7 +415,7 @@ def dense(
         if keep is not None:
             g = g * keep
         if activation == "relu":
-            g = g * gate
+            g = g * (pre > 0.0)
         elif activation == "sigmoid":
             g = _sigmoid_grad(g, s)
         bn_grads = ()
@@ -444,7 +436,7 @@ def grad_reverse(tape: Tape | None, x: Tensor, lambda_d: float) -> Tensor:
     def bwd(g):
         return (-lambda_d * g,)
 
-    return record_op(tape, (x,), x.data.copy(), bwd)
+    return record_op(tape, (x,), x.data, bwd)
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:

@@ -147,7 +147,9 @@ def saf_mixup_batch(
         labels = np.asarray(src_labels, dtype=np.intp)
         pool = ad.concat_rows(tape, target_features, src_features)
         pool_ids = np.concatenate([kept, target_features.rows + np.arange(src_features.rows)])
-        pool_probs = np.vstack([pool_probs, np.eye(k)[labels]])
+        one_hot = np.zeros((labels.size, k))
+        one_hot[np.arange(labels.size), labels] = 1.0
+        pool_probs = np.vstack([pool_probs, one_hot])
 
     n = pool_ids.size
     if n == 0:

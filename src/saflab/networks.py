@@ -175,6 +175,18 @@ def build_bundle(config, rng: np.random.Generator) -> ModelBundle:
     return ModelBundle(F, B, C, D, M, k)
 
 
+def parameter_counts(config) -> dict[str, int]:
+    """The parameters :func:`build_bundle` makes for ``config``, counted without building
+    them, per group (F; B, C and D; M) keyed by the model field that sizes it."""
+    widths = (config.input_dim, *config.f_widths)
+    h, k = config.bottleneck_dim, config.num_classes
+    d_out = 2 if config.backbone == "dann" else k
+    saf_in = h if config.mixup_after_bottleneck else widths[-1]
+    return {"f_widths": sum((a + 1) * b for a, b in zip(widths, widths[1:])),
+            "bottleneck_dim": (widths[-1] + 3) * h + 2 * (h + 1) * h + (h + 1) * (k + d_out),
+            "saf_dim": (config.saf_bottlenecks * (saf_in + 1) + 1) * config.saf_dim + 1}
+
+
 def forward_features(tape: Tape | None, bundle: ModelBundle, x) -> Tensor:
     """Run the extractor (no dropout, no batch norm) on a Batch or raw matrix."""
     feats = getattr(x, "features", x)

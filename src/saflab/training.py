@@ -32,11 +32,13 @@ from .losses import (
     mdd_adversarial_loss,
 )
 from .mixup import MixupPolicy, saf_mixup_batch, saf_supervision_loss
-from .networks import ModelBundle, adversary_logits, build_bundle, classify, forward_features
+from .networks import (ModelBundle, adversary_logits, build_bundle, classify, forward_features,
+                       parameter_counts)
 
 # caps that keep a bundle buildable (a width covers 2048-wide features) and a run finite
 MAX_WIDTH = 4096
 MAX_BOTTLENECKS = 64
+MAX_PARAMETERS = 2**24  # 128 MiB per float64 vector of the parameter buffer
 MAX_ITERATIONS = 10**7
 
 
@@ -89,6 +91,10 @@ class TrainConfig:
                               f"got {self.f_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        counts = parameter_counts(self)
+        if (total := sum(counts.values())) > MAX_PARAMETERS:
+            raise ConfigError(f"{max(counts, key=counts.get)} sizes the largest share of the "
+                              f"model's {total} parameters, above the cap of {MAX_PARAMETERS}")
 
     def margin_params(self) -> MarginParams:
         return MarginParams.from_gamma(self.margin_gamma)

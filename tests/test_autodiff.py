@@ -400,6 +400,50 @@ class TestDense:
             ad.dense(None, t(np.ones((2, 3))), ad.Layer("l", w, b, act, rate))
 
 
+# exact 0.0, -0.0 and NaN pre-activations, and a positive one
+KINKS = np.array([[0.0, -0.0, np.nan, 2.0]])
+KINK_GATE = np.array([[0.0, 0.0, 0.0, 1.0]])
+
+
+class TestReluSubgradient:
+    """ReLU passes the gradient only where the pre-activation is positive: it is
+    0 at exact 0.0, -0.0 and NaN, in the primitive and in the fused layer."""
+
+    def test_primitive(self):
+        x = t(np.repeat(KINKS, 3, axis=0))
+        tape = Tape()
+        y = ad.relu(tape, x)
+        backward(ad.sum_all(tape, y), tape)
+        np.testing.assert_array_equal(y.data, np.repeat([[0.0, 0.0, np.nan, 2.0]], 3, axis=0))
+        assert x.grad.tobytes() == np.repeat(KINK_GATE, 3, axis=0).tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_dense(self, bn, rate, training):
+        # without batch norm the pre-activation is x @ w + b = 0.0 + KINKS, which
+        # turns -0.0 into 0.0; with it, w = b = 0 make xhat 0.0 in either mode, so the
+        # pre-activation is 0.0 * gamma + beta, and gamma = -1 keeps beta's -0.0
+        x = t(np.ones((4, 1)), grad=False)
+        w, b = Parameter(np.zeros((1, 4))), Parameter(np.zeros((1, 4)) if bn else KINKS.copy())
+        norm = (Parameter([[1.0, -1.0, 1.0, 1.0]]), Parameter(KINKS.copy())) if bn else (None,) * 2
+        pre = ad.dense(None, x, ad.Layer("pre", w, b, "none", 0.0, *norm,
+                                         BatchNormState(4) if bn else None), training).data
+        assert (pre[:, 0] == 0.0).all() and (np.signbit(pre[:, 1]) == bn).all()
+        assert np.isnan(pre[:, 2]).all() and (pre[:, 3] == 2.0).all()
+
+        layer = ad.Layer("l", w, b, "relu", rate, *norm, BatchNormState(4) if bn else None)
+        dropping = training and rate > 0.0
+        keep = ad._dropout_mask(pre.shape, rate, np.random.default_rng(0)) if dropping else 1.0
+        tape = Tape()
+        y = ad.dense(tape, x, layer, training, np.random.default_rng(0))
+        backward(ad.sum_all(tape, y), tape)
+        np.testing.assert_array_equal(y.data, np.maximum(pre, 0.0) * keep)
+        bias = norm[1] if bn else b
+        expected = (KINK_GATE * keep * np.ones(pre.shape)).sum(axis=0, keepdims=True)
+        assert bias.tensor.grad.tobytes() == expected.tobytes()
+
+
 class TestGradReverse:
     def test_forward_bitwise_identity(self, rng):
         x = t(rng.normal(size=(4, 4)))

@@ -19,8 +19,8 @@ from saflab.config import (
     serialize_config,
 )
 from saflab.mixup import ENTROPY_FILTERS, MIX_MODES
-from saflab.networks import MLP
-from saflab.training import MAX_BOTTLENECKS, MAX_ITERATIONS, MAX_WIDTH
+from saflab.networks import MLP, parameter_counts
+from saflab.training import MAX_BOTTLENECKS, MAX_ITERATIONS, MAX_PARAMETERS, MAX_WIDTH
 
 
 def _parses_floats(key) -> bool:
@@ -127,15 +127,29 @@ class TestParsing:
             "saf_bottlenecks", "iterations", "batch_size", "eval_every", "seed"}
 
     def test_size_caps_are_inclusive(self):
-        widths = ("input_dim", "bottleneck_dim", "saf_dim", "num_classes")
-        pairs = {("model", k): str(MAX_WIDTH) for k in widths}
-        pairs[("model", "f_widths")] = f"{MAX_WIDTH},{MAX_WIDTH}"
-        pairs[("model", "saf_bottlenecks")] = str(MAX_BOTTLENECKS)
-        pairs[("train", "iterations")] = str(MAX_ITERATIONS)
-        train = build_config(pairs).train
-        assert [getattr(train, k) for k in widths] == [MAX_WIDTH] * 4
-        assert (train.f_widths, train.saf_bottlenecks) == ((MAX_WIDTH,) * 2, MAX_BOTTLENECKS)
-        assert train.total_iterations == MAX_ITERATIONS
+        # each field at its own cap, alone where the parameter cap allows it: a bottleneck
+        # at MAX_WIDTH feeds two MAX_WIDTH-square layers, so the parameter cap refuses it
+        caps = {("model", "input_dim"): MAX_WIDTH, ("model", "saf_dim"): MAX_WIDTH,
+                ("model", "num_classes"): MAX_WIDTH, ("model", "f_widths"): MAX_WIDTH,
+                ("model", "saf_bottlenecks"): MAX_BOTTLENECKS,
+                ("train", "iterations"): MAX_ITERATIONS}
+        for key, cap in caps.items():
+            assert build_config({key: str(cap)}).pairs()[key] == str(cap)
+        with pytest.raises(ConfigError, match="^model.bottleneck_dim: .* above the cap of "):
+            build_config({("model", "bottleneck_dim"): str(MAX_WIDTH)})
+        # the parameter cap's own boundary, with no layer built: a model of exactly
+        # MAX_PARAMETERS passes, and one more F input (MAX_WIDTH more weights) does not
+        at_cap = {"input_dim": 4, "f_widths": MAX_WIDTH, "bottleneck_dim": 1, "saf_dim": 4088,
+                  "saf_bottlenecks": 1}
+        with mock.patch.object(MLP, "__init__", side_effect=AssertionError("built a layer")):
+            train = build_config({("model", k): str(v) for k, v in at_cap.items()}).train
+            assert sum(parameter_counts(train).values()) == MAX_PARAMETERS
+            at_cap["input_dim"] += 1
+            with pytest.raises(ConfigError) as exc:
+                build_config({("model", k): str(v) for k, v in at_cap.items()})
+        assert str(exc.value) == (f"model.saf_dim: saf_dim sizes the largest share of the "
+                                  f"model's {MAX_PARAMETERS + MAX_WIDTH} parameters, above the "
+                                  f"cap of {MAX_PARAMETERS}")
 
     def test_float_keys(self):
         assert {k.key for k in _FLOAT_KEYS} == {

@@ -151,10 +151,14 @@ CONFIGS = {
     "twice.cfg": ("[train]\niterations = 4\n\n[train]\niterations = 6\n",
                   "line 5: train.iterations is already set on line 2"),
     "long.cfg": (f"[train]\niterations = {10**23}\n", "train.iterations"),
+    # every width at its own cap: 1,191,485,441 parameters, 8.9 GiB per float64 vector
+    "huge.cfg": ("[model]\ninput_dim = 4096\nf_widths = 4096,4096\nbottleneck_dim = 4096\n"
+                 "saf_dim = 4096\nnum_classes = 4096\nsaf_bottlenecks = 64\n", "model.saf_dim"),
 }
-# a run too long to end, refused by all four commands that read a config; its rows come
-# last in the table below, so the ids of the rows above do not depend on it
-LONG = "long.cfg"
+# a run too long to end and a model above the parameter cap, each refused by all four
+# commands that read a config; their rows come last in the table below, so the ids of
+# the rows above do not depend on them
+LONG, HUGE = "long.cfg", "huge.cfg"
 
 LOADED = ["--model", "model.txt", "--source", "src.csv", "--target", "tgt.csv"]
 
@@ -169,14 +173,15 @@ LOADED = ["--model", "model.txt", "--source", "src.csv", "--target", "tgt.csv"]
     *((["gen-data", f"{flag}={sign}1e308"], field) for flag, field in SHIFTS for sign in "+-"),
     *((["gen-data", flag, "-1e308"], field) for flag, field in SHIFTS),
     *(([command, "--config", cfg], CONFIGS[cfg][1]) for command in ("train", "ablate")
-      for cfg in CONFIGS if cfg != LONG),
+      for cfg in CONFIGS if cfg not in (LONG, HUGE)),
     *(([command, "--config", cfg, *LOADED], CONFIGS[cfg][1])
       for command in ("eval", "export-embeddings") for cfg in ("wide.cfg", "twice.cfg")),
     # spaced or joined, one refusal naming the field, not a usage error
     *((["gen-data", *form], f"{field} must be finite") for flag, field in FLOATS
       for value in NEGATIVE_NON_FINITE for form in ([flag, value], [f"{flag}={value}"])),
-    *(([command, "--config", LONG, *(LOADED if command in ("eval", "export-embeddings") else [])],
-       CONFIGS[LONG][1]) for command in ("train", "ablate", "eval", "export-embeddings")),
+    *(([command, "--config", cfg, *(LOADED if command in ("eval", "export-embeddings") else [])],
+       CONFIGS[cfg][1]) for cfg in (LONG, HUGE)
+      for command in ("train", "ablate", "eval", "export-embeddings")),
 ])
 def test_an_extreme_value_exits_with_one_message(tmp_path, argv, names):
     # every value here fails before any array or seed list is allocated

@@ -15,6 +15,7 @@ from saflab import (
     ShapeError,
     Tape,
     Tensor,
+    TrainConfig,
     backward,
     build_bundle,
     gen_two_moons,
@@ -57,6 +58,23 @@ class TestBuildBundle:
                 assert p.lr_multiplier == 10.0
         for p in bundle.M.parameters():
             assert p.lr_multiplier == 10.0
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"backbone": "dann"}, {"backbone": "dann", "num_classes": 3},
+        {"mixup_after_bottleneck": True, "saf_bottlenecks": 4}, {"num_classes": 3},
+        {"saf_bottlenecks": 1},
+    ])
+    def test_parameter_counts_match_the_buffer(self, changes):
+        cfg = TrainConfig(**changes)
+        bundle = build_bundle(cfg, np.random.default_rng(0))
+
+        def size(*blocks):
+            return sum(p.tensor.data.size for block in blocks for p in block.parameters())
+
+        assert nets.parameter_counts(cfg) == {"f_widths": size(bundle.F),
+                                              "bottleneck_dim": size(bundle.B, bundle.C, bundle.D),
+                                              "saf_dim": size(bundle.M)}
+        assert sum(nets.parameter_counts(cfg).values()) == bundle.buffer.data.size
 
     def test_mdd_adversary_mirrors_classifier(self):
         bundle = build_bundle(tiny_config(backbone="mdd"), np.random.default_rng(0))

@@ -1,16 +1,20 @@
 """Schedules, the joint training step, evaluation and full runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import saflab.autodiff as ad
+import saflab.losses as losses
 import saflab.training as tr
 from saflab import (
     ConfigError,
     DataError,
     DomainSpec,
+    MixupPolicy,
+    TrainConfig,
     build_bundle,
     evaluate,
     lambda_d_schedule,
@@ -24,7 +28,7 @@ from saflab.networks import classify, forward_features
 from saflab.autodiff import Tape, backward
 
 from conftest import tiny_config
-from helpers import count_eval_forwards, counting
+from helpers import count_eval_forwards, counting, golden_data, run_digests
 
 
 def moon_pair(n=40, seed=0):
@@ -306,3 +310,38 @@ class TestRunExperiment:
         out1 = run_experiment(cfg_off, src, tgt, tmp_path / "off1")
         out2 = run_experiment(cfg_off, src, tgt, tmp_path / "off2")
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+
+# every mixup path a run can take: saf off, and saf with each pool, weight and filter policy
+READ_ONLY_SETUPS = {
+    "saf_off": dict(saf_enabled=False),
+    "saf": {},
+    "include_source": dict(mixup=MixupPolicy(include_source=True)),
+    "only_certain": dict(mixup=MixupPolicy(entropy_filter="only_certain")),
+    "beta": dict(mixup=MixupPolicy(mode="beta")),
+    "constant": dict(mixup=MixupPolicy(mode="constant")),
+    "after_bottleneck_source": dict(mixup=MixupPolicy(include_source=True),
+                                    mixup_after_bottleneck=True),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(READ_ONLY_SETUPS))
+@pytest.mark.parametrize("backbone", ["dann", "mdd"])
+def test_no_op_writes_into_an_array_it_was_given_or_returned(tmp_path, monkeypatch,
+                                                              backbone, setup):
+    """Identity forwards return their input's array, and backwards read their
+    inputs when they run; both rest on this.  Every recorded array is made
+    read-only, and the run must finish with the same bytes."""
+    cfg = replace(TrainConfig(), backbone=backbone, total_iterations=12, eval_every=6,
+                  **READ_ONLY_SETUPS[setup])
+    data = golden_data(64, 64)
+    plain = run_digests(cfg, data, tmp_path / "plain", steps=12)
+    record_op = ad.record_op
+
+    def read_only(tape, inputs, out, backward_fn):
+        out.flags.writeable = False
+        return record_op(tape, inputs, out, backward_fn)
+
+    monkeypatch.setattr(ad, "record_op", read_only)
+    monkeypatch.setattr(losses, "record_op", read_only)
+    assert run_digests(cfg, data, tmp_path / "read_only", steps=12) == plain
