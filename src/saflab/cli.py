@@ -78,6 +78,9 @@ def _parse_seeds(raw: str) -> list[int]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.kind == "two_moons" and args.classes is not None:
+        args.parser.error("argument --classes: not allowed with --kind two_moons, "
+                          "which has 2 classes")
     src_spec = DomainSpec(
         generator=args.kind,
         n_samples=args.samples,
@@ -91,17 +94,18 @@ def cmd_gen_data(args) -> int:
         scale=args.scale,
     )
     out = Path(args.out)
-    if args.kind == "two_moons":
-        src = gen_two_moons(src_spec, SOURCE_TAG)
-        tgt = gen_two_moons(tgt_spec, TARGET_TAG)
-    else:
-        src = gen_gaussian_blobs(src_spec, _BLOB_CENTERS[: args.classes], SOURCE_TAG)
-        tgt = gen_gaussian_blobs(tgt_spec, _BLOB_CENTERS[: args.classes], TARGET_TAG)
     manifest = {
         "source": asdict(src_spec),
         "target": asdict(tgt_spec),
         "files": {"source": "source.csv", "target": "target.csv"},
     }
+    if args.kind == "two_moons":
+        src = gen_two_moons(src_spec, SOURCE_TAG)
+        tgt = gen_two_moons(tgt_spec, TARGET_TAG)
+    else:
+        manifest["centers"] = centers = _BLOB_CENTERS[: args.classes or 2]
+        src = gen_gaussian_blobs(src_spec, centers, SOURCE_TAG)
+        tgt = gen_gaussian_blobs(tgt_spec, centers, TARGET_TAG)
     write_all({
         out / "source.csv": csv_text(src),
         out / "target.csv": csv_text(tgt),
@@ -169,11 +173,11 @@ def build_parser() -> _Parser:
     g.add_argument("--translate-x", type=float, default=spec.translation[0])
     g.add_argument("--translate-y", type=float, default=spec.translation[1])
     g.add_argument("--scale", type=float, default=spec.scale)
-    g.add_argument("--classes", type=int, default=2, choices=range(2, len(_BLOB_CENTERS) + 1),
-                   help="gaussian_blobs class count")
+    g.add_argument("--classes", type=int, choices=range(2, len(_BLOB_CENTERS) + 1),
+                   help="gaussian_blobs class count (default 2); refused with two_moons")
     g.add_argument("--seed", type=int, default=spec.seed)
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen_data)
+    g.set_defaults(fn=cmd_gen_data, parser=g)
 
     t = sub.add_parser("train", help="run one configuration, optionally over several seeds")
     t.add_argument("--config", required=True)

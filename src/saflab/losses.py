@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -161,8 +162,10 @@ def mdd_adversarial_loss(
 ) -> Tensor:
     """Adversary loss of the margin-disparity backbone.
 
-    Pseudo-labels are the gradient-stopped argmaxes of the main classifier's
-    logits.  Target term: mean -log(1 - softmax(D)[y_hat]); source term is
+    Pseudo-labels are the gradient-stopped row argmaxes of ``c_logits_src``
+    and ``c_logits_tgt``, the main classifier's outputs; ``training.objective``
+    passes its eval-mode softmax probabilities, and only the argmaxes are
+    read.  Target term: mean -log(1 - softmax(D)[y_hat]); source term is
     weighted by gamma = e^rho: gamma * mean -log(softmax(D)[y_hat]).  The
     adversary descends this loss directly while the extractor receives the
     reversed, lambda-scaled gradient through the GRL in its path.
@@ -244,34 +247,17 @@ def conditional_entropy(probs) -> np.ndarray:
     return -plogp.sum(axis=1) + 0.0
 
 
-class AxisStump:
-    """Threshold classifier on one axis; hi_label goes to the > side."""
-
-    __slots__ = ("axis", "threshold", "hi_label")
-
-    def __init__(self, axis: int, threshold: float, hi_label: int):
-        self.axis = axis
-        self.threshold = threshold
-        self.hi_label = hi_label
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        hi = x[:, self.axis] > self.threshold
-        return np.where(hi, self.hi_label, 1 - self.hi_label)
-
-
-def axis_stump_grid(points: np.ndarray, points_per_axis: int = STUMP_POINTS) -> list[AxisStump]:
-    """Both-polarity threshold stumps on an even grid per axis.
+def axis_stump_grid(points: np.ndarray, points_per_axis: int = STUMP_POINTS) -> list[Callable]:
+    """Both-polarity threshold stumps on an even grid per axis, axis-major,
+    thresholds ascending, ``hi`` = 1 then 0: ``h(x)`` labels the rows with
+    ``x[:, axis] > threshold`` as ``hi`` and every other row as ``1 - hi``.
 
     The grid spans the observed range of each coordinate, so the set is
     closed under label flip by construction.
     """
-    stumps: list[AxisStump] = []
-    for axis in range(points.shape[1]):
-        col = points[:, axis]
-        for thr in np.linspace(col.min(), col.max(), points_per_axis):
-            stumps.append(AxisStump(axis, float(thr), 1))
-            stumps.append(AxisStump(axis, float(thr), 0))
-    return stumps
+    return [lambda x, a=axis, t=float(thr), hi=hi: np.where(x[:, a] > t, hi, 1 - hi)
+            for axis, col in enumerate(points.T)
+            for thr in np.linspace(col.min(), col.max(), points_per_axis) for hi in (1, 0)]
 
 
 def _stump_thresholds(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:

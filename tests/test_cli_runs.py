@@ -14,7 +14,7 @@ import saflab.data
 import saflab.runs as runs
 from saflab.cli import main
 from saflab.config import default_config, parse_config
-from saflab.data import DomainSpec, csv_text, gen_two_moons, write_atomic
+from saflab.data import DomainSpec, csv_text, gen_gaussian_blobs, gen_two_moons, write_atomic
 from saflab.exceptions import DataError, StateError
 from saflab.training import run_experiment
 
@@ -613,6 +613,42 @@ class TestCli:
         assert exc.value.code == 1
         assert f"argument --classes: invalid choice: {classes}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--classes", "3"], ["--classes", "2"],
+                                      ["--classes", "2", "--kind", "two_moons"]],
+                             ids=["classes-3", "classes-2", "classes-before-kind"])
+    def test_gen_data_classes_with_two_moons_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: saflab gen-data ") and err.count("usage:") == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["saflab gen-data: error: argument --classes: not allowed with "
+                          "--kind two_moons, which has 2 classes"], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, classes", [
+        ([], 2), (["--kind", "gaussian_blobs"], 2),
+        (["--kind", "gaussian_blobs", "--classes", "3"], 3),
+    ], ids=["two_moons", "blobs", "blobs-3"])
+    def test_gen_data_manifest_rebuilds_its_csvs(self, tmp_path, argv, classes):
+        out = tmp_path / "d"
+        assert main(["gen-data", *argv, "--rotation", "20", "--translate-x", "0.5",
+                     "--scale", "1.5", "--samples", "31", "--seed", "4", "--out", str(out)]) == 0
+        manifest = json.loads((out / "data_manifest.json").read_text(encoding="utf-8"))
+        for domain in ("source", "target"):
+            spec = DomainSpec(**manifest[domain])
+            if spec.generator == "two_moons":
+                assert "centers" not in manifest
+                batch = gen_two_moons(spec)
+            else:
+                assert len(manifest["centers"]) == classes
+                batch = gen_gaussian_blobs(spec, manifest["centers"])
+            assert set(batch.labels.tolist()) == set(range(classes))
+            written = (out / manifest["files"][domain]).read_bytes()
+            assert csv_text(batch).encode("utf-8") == written
 
     @pytest.mark.parametrize("seeds", [None, "0..1"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -127,6 +127,20 @@ GEN_DATA_ARGS = ["gen-data", "--kind", "gaussian_blobs", "--classes", "3", "--sa
 
 GOLDEN_DATA_MANIFEST = """\
 {
+  "centers": [
+    [
+      -1.0,
+      0.0
+    ],
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.5
+    ]
+  ],
   "files": {
     "source": "source.csv",
     "target": "target.csv"

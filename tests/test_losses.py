@@ -402,6 +402,21 @@ def _h_div_loop(s, t_pts, stumps):
 
 
 class TestHDivergence:
+    def test_stump_grid_order_and_labels(self, rng):
+        # axis-major, thresholds ascending, hi = 1 then 0; each threshold is
+        # the Python float of its column's linspace
+        pts = rng.normal(size=(20, 3))
+        stumps = L.axis_stump_grid(pts, 5)
+        assert len(stumps) == 30
+        probe = np.vstack([2.0 * rng.normal(size=(50, 3)), pts, np.full((1, 3), np.nan)])
+        want = [(a, float(t), hi) for a in range(3)
+                for t in np.linspace(pts[:, a].min(), pts[:, a].max(), 5) for hi in (1, 0)]
+        outputs = [h(probe) for h in stumps]
+        for got, (a, t, hi) in zip(outputs, want):
+            expected = np.where(probe[:, a] > t, hi, 1 - hi)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert len({out.tobytes() for out in outputs}) == 30  # the probe tells all apart
+
     def test_identical_sets_give_zero(self, rng):
         pts = rng.normal(size=(50, 2))
         val = L.empirical_h_divergence(pts, pts.copy())
