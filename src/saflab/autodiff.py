@@ -393,7 +393,7 @@ def dense(
     """
     w, b, state, activation = layer.w.tensor, layer.b.tensor, layer.bn_state, layer.activation
     if x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {x.shape} x {w.shape}")
+        raise ShapeError(f"{layer.name} expects width {w.data.shape[0]}, got {x.data.shape[1]}")
     y = x.data @ w.data + b.data
     inputs: tuple[Tensor, ...] = (x, w, b)
     if state is not None:

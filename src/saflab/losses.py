@@ -327,8 +327,6 @@ def _as_points(samples) -> np.ndarray:
 
 def accuracy(logits, labels) -> float:
     """Fraction of rows whose argmax matches the label; ties go to the lowest index."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DataError(f"accuracy needs a non-empty 2-D logits array, got shape {arr.shape}")
+    arr = _as_points(logits.data if isinstance(logits, Tensor) else logits)
     y = _check_labels(labels, arr.shape[1], arr.shape[0])
     return float((np.argmax(arr, axis=1) == y).mean())

@@ -55,7 +55,6 @@ class MLP(_Layers):
     def __init__(self, in_dim: int, layers, rng: np.random.Generator,
                  lr_multiplier: float, name: str):
         self.name = name
-        self.in_dim = in_dim
         self.layers: list[Layer] = []
         fan_in = in_dim
         for i, (width, act, rate, bn) in enumerate(layers):
@@ -72,8 +71,6 @@ class MLP(_Layers):
 
     def forward(self, tape: Tape | None, x: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        if x.cols != self.in_dim:
-            raise ShapeError(f"{self.name} expects width {self.in_dim}, got {x.cols}")
         for layer in self.layers:
             x = ad.dense(tape, x, layer, training, rng)
         return x
@@ -84,7 +81,6 @@ class SAFModule(_Layers):
 
     def __init__(self, in_dim: int, saf_dim: int, count: int,
                  rng: np.random.Generator, lr_multiplier: float, name: str):
-        self.in_dim = in_dim
         self.bottlenecks = [MLP(in_dim, [(saf_dim, "relu", 0.0, False)], rng, lr_multiplier,
                                 f"{name}.s{i}") for i in range(count)]
         self.estimator = MLP(saf_dim, [(1, "sigmoid", 0.0, False)], rng, lr_multiplier,
@@ -189,9 +185,7 @@ def parameter_counts(config) -> dict[str, int]:
 
 def forward_features(tape: Tape | None, bundle: ModelBundle, x) -> Tensor:
     """Run the extractor (no dropout, no batch norm) on a Batch or raw matrix."""
-    feats = getattr(x, "features", x)
-    t = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats, dtype=np.float64))
-    return bundle.F.forward(tape, t)
+    return bundle.F.forward(tape, Tensor(getattr(x, "features", x)))
 
 
 def classify(tape: Tape | None, bundle: ModelBundle, features: Tensor,

@@ -44,6 +44,11 @@ def assert_grad_close(analytic, numeric, rtol=FD_RTOL):
     assert err <= rtol, f"gradient mismatch: relative error {err:.3g} > {rtol}"
 
 
+def in_width(block) -> int:
+    """The input width of an MLP or SAF module: its first layer's weight rows."""
+    return block.layers[0].w.tensor.rows
+
+
 def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     """Mean of every entry as a 1x1 tape op (a scalar loss for gradient tests)."""
     n = x.data.size

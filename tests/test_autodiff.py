@@ -613,3 +613,51 @@ class TestOptimizer:
         p = Parameter(np.array([[0.0]]), name="p")
         with pytest.raises(StateError):
             ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=0.01, momentum=0.9)
+
+
+def _layer(activation):
+    return ad.Layer("l", Parameter(np.ones((2, 2))), Parameter(np.zeros((1, 2))), activation, 0.0)
+
+
+def _bn_with_gamma_of(width):
+    gamma, beta = Parameter(np.ones((1, width))), Parameter(np.zeros((1, width)))
+    return ad.batch_norm(None, t(np.ones((3, 2))), gamma, beta, BatchNormState(2), False)
+
+
+def _sgd_at(base_lr):
+    p = Parameter(np.array([[0.0]]), name="p")
+    p.tensor.grad = np.array([[1.0]])
+    ad.sgd_nesterov_step(ad.ParamBuffer([p]), base_lr=base_lr, momentum=0.9)
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    pytest.param(lambda: ad.dropout(None, t(np.ones((2, 2))), 0.5, True), StateError,
+                 "training-mode dropout needs an explicit rng", id="dropout-without-rng"),
+    pytest.param(lambda: ad.add(None, t(np.ones((2, 2))), t(np.ones((2, 3)))), ShapeError,
+                 r"add needs equal shapes, got \(2, 2\) and \(2, 3\)", id="add"),
+    pytest.param(lambda: ad.add_bias(None, t(np.ones((2, 2))), t(np.ones((1, 3)))), ShapeError,
+                 r"bias must be 1x2, got \(1, 3\)", id="add-bias-width"),
+    pytest.param(lambda: ad.add_bias(None, t(np.ones((2, 2))), t(np.ones((2, 2)))), ShapeError,
+                 r"bias must be 1x2, got \(2, 2\)", id="add-bias-rows"),
+    pytest.param(lambda: ad.mul(None, t(np.ones((2, 2))), t(np.ones((3, 2)))), ShapeError,
+                 r"mul needs equal shapes, got \(2, 2\) and \(3, 2\)", id="mul"),
+    pytest.param(lambda: ad.mul_colvec(None, t(np.ones((2, 2))), t(np.ones((2, 2)))), ShapeError,
+                 r"column vector must be 2x1, got \(2, 2\)", id="mul-colvec-width"),
+    pytest.param(lambda: ad.mul_colvec(None, t(np.ones((2, 2))), t(np.ones((3, 1)))), ShapeError,
+                 r"column vector must be 2x1, got \(3, 1\)", id="mul-colvec-rows"),
+    pytest.param(lambda: _bn_with_gamma_of(3), ShapeError, "gamma/beta must be 1x2",
+                 id="batch-norm-gamma"),
+    pytest.param(lambda: ad.dense(None, t(np.ones((3, 2))), _layer("tanh")), ConfigError,
+                 "unknown activation 'tanh'", id="dense-activation"),
+    pytest.param(lambda: ad.take_rows(None, t(np.ones((3, 2))), [0, 3]), ShapeError,
+                 "row index out of range for 3 rows", id="take-rows-high"),
+    pytest.param(lambda: ad.take_rows(None, t(np.ones((3, 2))), [-1]), ShapeError,
+                 "row index out of range for 3 rows", id="take-rows-negative"),
+    pytest.param(lambda: ad.concat_rows(None, t(np.ones((2, 2))), t(np.ones((2, 3)))), ShapeError,
+                 "row concat needs equal widths", id="concat-rows"),
+    pytest.param(lambda: _sgd_at(0.0), ConfigError, "base_lr must be positive, got 0.0",
+                 id="sgd-zero-lr"),
+])
+def test_each_refusal_names_its_cause(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()

@@ -540,3 +540,40 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             L.accuracy(np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("refused, error, match", [
+    pytest.param(lambda: L.cross_entropy(None, t(np.zeros((3, 2))), [0, 1]), ShapeError,
+                 r"labels must be a length-3 vector, got shape \(2,\)", id="labels-length"),
+    pytest.param(lambda: L.cross_entropy(None, t(np.zeros((2, 2))), [[0, 1]]), ShapeError,
+                 r"labels must be a length-2 vector, got shape \(1, 2\)", id="labels-2d"),
+    pytest.param(lambda: L.cross_entropy(None, t(np.zeros((0, 2))), []), DataError,
+                 "cross entropy needs a non-empty batch", id="cross-entropy-empty"),
+    pytest.param(lambda: L.cross_entropy_divergence(None, t(np.zeros((2, 2))), np.ones((2, 3)) / 3),
+                 ShapeError, r"soft labels shape \(2, 3\) != logits shape \(2, 2\)",
+                 id="divergence-shape"),
+    pytest.param(lambda: L.cross_entropy_divergence(None, t(np.zeros((0, 2))), np.zeros((0, 2))),
+                 DataError, "cross entropy divergence needs a non-empty batch",
+                 id="divergence-empty"),
+    pytest.param(lambda: L.cross_entropy_divergence(None, t(np.zeros((1, 2))), [[1.5, -0.5]]),
+                 DataError, "soft labels must be non-negative, min=-0.5", id="divergence-negative"),
+    pytest.param(lambda: L.margin([0.2, 0.8], 2), DataError,
+                 "exemplar index 2 out of range for 2 classes", id="margin-exemplar-high"),
+    pytest.param(lambda: L.margin([0.2, 0.8], -1), DataError,
+                 "exemplar index -1 out of range for 2 classes", id="margin-exemplar-negative"),
+    pytest.param(lambda: L.margin_loss(0.1, 0.0), ConfigError,
+                 "margin threshold must be positive, got 0.0", id="margin-loss-threshold"),
+    pytest.param(lambda: L.empirical_margin_disparity(np.eye(2), np.eye(2), -1.0), ConfigError,
+                 "margin threshold must be positive, got -1.0", id="disparity-threshold"),
+    pytest.param(lambda: L.empirical_margin_disparity(np.eye(2), np.eye(3), 0.5), ShapeError,
+                 r"shapes differ: \(2, 2\) vs \(3, 3\)", id="disparity-shape"),
+    pytest.param(lambda: L.empirical_h_divergence(np.zeros((3, 2)), np.zeros((3, 1))), ShapeError,
+                 "domains have widths 2 and 1", id="h-divergence-widths"),
+    pytest.param(lambda: L.empirical_h_divergence(np.zeros(3), np.zeros((3, 1))), DataError,
+                 r"samples must be a non-empty 2-D array, got shape \(3,\)", id="points-1d"),
+    pytest.param(lambda: L.empirical_h_divergence(np.zeros((3, 2)), np.zeros((0, 2))), DataError,
+                 r"samples must be a non-empty 2-D array, got shape \(0, 2\)", id="points-no-rows"),
+])
+def test_each_refusal_names_its_cause(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()

@@ -24,7 +24,7 @@ from saflab.mixup import MixedBatch, pseudo_label_probs
 from saflab.networks import forward_features
 
 from conftest import tiny_config
-from helpers import assert_grad_close, fd_grad
+from helpers import assert_grad_close, fd_grad, in_width
 
 
 @pytest.fixture
@@ -53,8 +53,9 @@ class TestPolicy:
             MixupPolicy(mode="gamma")
 
     def test_constant_eta_open_interval(self):
-        with pytest.raises(ConfigError):
-            MixupPolicy(mode="constant", constant_eta=1.0)
+        for eta in (1.0, 0.0):
+            with pytest.raises(ConfigError, match=f"constant_eta must be in \\(0, 1\\), got {eta}"):
+                MixupPolicy(mode="constant", constant_eta=eta)
 
     def test_auto_threshold_is_half_max_entropy(self):
         p = MixupPolicy()
@@ -102,7 +103,7 @@ class TestRandomDrawPairs:
             assert got == want, n
             assert all(type(i) is int for pair in got for i in pair)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-            mixed = mix(b, Tensor(np.zeros((n, b.M.in_dim))), MixupPolicy(mode="constant"), n)
+            mixed = mix(b, Tensor(np.zeros((n, in_width(b.M)))), MixupPolicy(mode="constant"), n)
             assert pairs_of(mixed) == want, n
 
     def test_matching_marginals_uniform(self):
@@ -120,7 +121,7 @@ class TestRandomDrawPairs:
 class TestSafMixupBatch:
     def test_equal_parents_reproduce_themselves(self, bundle, rng):
         b, _ = bundle
-        row = rng.normal(size=(1, b.M.in_dim))
+        row = rng.normal(size=(1, in_width(b.M)))
         feats = Tensor(np.vstack([row, row]))
         mixed = mix(b, feats, MixupPolicy(), 0)
         np.testing.assert_allclose(mixed.features.data, row, atol=1e-15)
@@ -129,7 +130,7 @@ class TestSafMixupBatch:
 
     def test_constant_mode_hand_computed(self, bundle):
         b, _ = bundle
-        f = np.arange(2.0 * b.M.in_dim).reshape(2, b.M.in_dim) + 1.0
+        f = np.arange(2.0 * in_width(b.M)).reshape(2, in_width(b.M)) + 1.0
         feats = Tensor(f)
         probs = np.array([[0.8, 0.2], [0.3, 0.7]])
         mixed = saf_mixup_batch(
@@ -193,9 +194,12 @@ class TestSafMixupBatch:
 
     def test_only_certain_with_zero_threshold_is_empty(self, bundle, rng):
         b, _ = bundle
-        mixed = mix(b, target_feats(b, rng, 10),
-                    MixupPolicy(entropy_filter="only_certain", entropy_threshold=0.0), 10)
+        feats = target_feats(b, rng, 10)
+        mixed = mix(b, feats, MixupPolicy(entropy_filter="only_certain", entropy_threshold=0.0), 10)
         assert len(mixed) == 0
+        assert mixed.features.shape == (0, feats.cols)
+        assert mixed.soft_labels.shape == (0, b.num_classes)
+        assert mixed.etas.shape == mixed.ids_a.shape == mixed.ids_b.shape == (0,)
 
     def test_only_uncertain_with_zero_threshold_keeps_all(self, bundle, rng):
         b, _ = bundle
@@ -238,21 +242,21 @@ class TestSafMixupBatch:
     def test_width_mismatch(self, bundle, rng):
         b, _ = bundle
         with pytest.raises(ShapeError):
-            saf_mixup_batch(None, b, Tensor(rng.normal(size=(4, b.M.in_dim + 2))),
+            saf_mixup_batch(None, b, Tensor(rng.normal(size=(4, in_width(b.M) + 2))),
                             MixupPolicy(), np.random.default_rng(0),
                             pseudo_probs=np.full((4, b.num_classes), 1 / b.num_classes))
 
     def test_empty_input_rejected(self, bundle):
         b, _ = bundle
         with pytest.raises(DataError):
-            saf_mixup_batch(None, b, Tensor(np.zeros((0, b.M.in_dim))), MixupPolicy(),
+            saf_mixup_batch(None, b, Tensor(np.zeros((0, in_width(b.M)))), MixupPolicy(),
                             np.random.default_rng(0), pseudo_probs=np.zeros((0, b.num_classes)))
 
 
 class TestSafSupervisionLoss:
     def test_empty_batch_contributes_zero(self, bundle):
         b, _ = bundle
-        empty = MixedBatch.empty(b.M.in_dim, b.num_classes)
+        empty = MixedBatch.empty(in_width(b.M), b.num_classes)
         loss = saf_supervision_loss(None, b, empty)
         assert loss.item() == 0.0
         assert not loss.requires_grad
@@ -304,7 +308,7 @@ class TestSafSupervisionLoss:
     def test_after_bottleneck_path_skips_b(self, rng):
         cfg = tiny_config(mixup_after_bottleneck=True)
         b = build_bundle(cfg, np.random.default_rng(12))
-        assert b.M.in_dim == cfg.bottleneck_dim
+        assert in_width(b.M) == cfg.bottleneck_dim
         feats = forward_features(None, b, rng.normal(size=(6, 2)))
         h = b.B.forward(None, feats)
         probs = ad.softmax_rows(None, b.C.forward(None, h)).data

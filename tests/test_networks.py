@@ -24,16 +24,16 @@ from saflab import (
 from saflab.data import TARGET_TAG, Batch
 
 from conftest import tiny_config
-from helpers import assert_grad_close, fd_grad
+from helpers import assert_grad_close, fd_grad, in_width
 
 
 class TestBuildBundle:
     def test_default_desk_seams(self):
         cfg = tiny_config(f_widths=(64, 32), bottleneck_dim=16, saf_dim=16)
         bundle = build_bundle(cfg, np.random.default_rng(0))
-        assert [block.in_dim for block in (bundle.F, bundle.B, bundle.C)] == [2, 32, 16]
+        assert [in_width(block) for block in (bundle.F, bundle.B, bundle.C)] == [2, 32, 16]
         assert [block.layers[-1].w.tensor.cols for block in bundle.blocks[:4]] == [32, 16, 2, 2]
-        assert bundle.M.in_dim == 32 and bundle.M.estimator.in_dim == 16
+        assert in_width(bundle.M) == 32 and in_width(bundle.M.estimator) == 16
 
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,7 +217,7 @@ class TestSafWeight:
         bundle, _ = tiny_bundle
         for p in bundle.M.parameters():
             p.tensor.data[:] = 0.0
-        phi = Tensor(rng.normal(size=(3, bundle.M.in_dim)))
+        phi = Tensor(rng.normal(size=(3, in_width(bundle.M))))
         eta = nets.saf_weight(None, bundle.M, phi, phi)
         np.testing.assert_array_equal(eta.data, np.full((3, 1), 0.5))
 
@@ -230,8 +230,8 @@ class TestSafWeight:
         m.bottlenecks[0].layers[0].b.tensor.data[:] = 1.0
         m.bottlenecks[1].layers[0].w.tensor.data[:] = -1.0
         m.bottlenecks[1].layers[0].b.tensor.data[:] = 2.0
-        phi1 = Tensor(np.full((1, m.in_dim), 0.3))
-        phi2 = Tensor(np.full((1, m.in_dim), -0.9))
+        phi1 = Tensor(np.full((1, in_width(m)), 0.3))
+        phi2 = Tensor(np.full((1, in_width(m)), -0.9))
         e12 = nets.saf_weight(None, m, phi1, phi2).data[0, 0]
         e21 = nets.saf_weight(None, m, phi2, phi1).data[0, 0]
         assert e12 != e21
@@ -239,8 +239,8 @@ class TestSafWeight:
     def test_single_bottleneck_is_symmetric(self, rng):
         cfg = tiny_config(saf_bottlenecks=1)
         bundle = build_bundle(cfg, np.random.default_rng(4))
-        phi1 = Tensor(rng.normal(size=(4, bundle.M.in_dim)))
-        phi2 = Tensor(rng.normal(size=(4, bundle.M.in_dim)))
+        phi1 = Tensor(rng.normal(size=(4, in_width(bundle.M))))
+        phi2 = Tensor(rng.normal(size=(4, in_width(bundle.M))))
         e12 = nets.saf_weight(None, bundle.M, phi1, phi2).data
         e21 = nets.saf_weight(None, bundle.M, phi2, phi1).data
         np.testing.assert_array_equal(e12, e21)
@@ -249,8 +249,8 @@ class TestSafWeight:
         cfg = tiny_config(saf_bottlenecks=4)
         bundle = build_bundle(cfg, np.random.default_rng(4))
         m = bundle.M
-        phi1 = Tensor(rng.normal(size=(2, m.in_dim)))
-        phi2 = Tensor(rng.normal(size=(2, m.in_dim)))
+        phi1 = Tensor(rng.normal(size=(2, in_width(m))))
+        phi2 = Tensor(rng.normal(size=(2, in_width(m))))
         got = nets.saf_weight(None, m, phi1, phi2).data
 
         total = None
@@ -262,27 +262,41 @@ class TestSafWeight:
 
     def test_open_interval(self, tiny_bundle, rng):
         bundle, _ = tiny_bundle
-        phi1 = Tensor(rng.normal(scale=50.0, size=(16, bundle.M.in_dim)))
-        phi2 = Tensor(rng.normal(scale=50.0, size=(16, bundle.M.in_dim)))
+        phi1 = Tensor(rng.normal(scale=50.0, size=(16, in_width(bundle.M))))
+        phi2 = Tensor(rng.normal(scale=50.0, size=(16, in_width(bundle.M))))
         eta = nets.saf_weight(None, bundle.M, phi1, phi2).data
         assert eta.min() > 0.0 and eta.max() < 1.0
 
     def test_width_mismatch(self, tiny_bundle, rng):
         bundle, _ = tiny_bundle
-        bad = Tensor(rng.normal(size=(2, bundle.M.in_dim + 1)))
+        bad = Tensor(rng.normal(size=(2, in_width(bundle.M) + 1)))
         with pytest.raises(ShapeError):
             nets.saf_weight(None, bundle.M, bad, bad)
 
     def test_differentiable_wrt_module(self, tiny_bundle, rng):
         bundle, _ = tiny_bundle
-        phi1 = Tensor(rng.normal(size=(3, bundle.M.in_dim)))
-        phi2 = Tensor(rng.normal(size=(3, bundle.M.in_dim)))
+        phi1 = Tensor(rng.normal(size=(3, in_width(bundle.M))))
+        phi2 = Tensor(rng.normal(size=(3, in_width(bundle.M))))
         tape = Tape()
         loss = ad.sum_all(tape, nets.saf_weight(tape, bundle.M, phi1, phi2))
         backward(loss, tape)
         grads = [p.tensor.grad for p in bundle.M.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
+
+
+@pytest.mark.parametrize("block, layer", [("F", "F.0"), ("B", "B.0"), ("C", "C.0"), ("D", "D.0"),
+                                          ("M", "M.s0.0")])
+def test_a_width_mismatch_is_refused_by_dense_naming_the_layer(tiny_bundle, block, layer):
+    bundle, _ = tiny_bundle
+    width = in_width(getattr(bundle, block))
+    bad = Tensor(np.ones((3, width + 1)))
+    forward = getattr(bundle, block).forward if block != "M" else (
+        lambda tape, x: nets.saf_weight(tape, bundle.M, x, x))
+    message = f"^{layer} expects width {width}, got {width + 1}$"
+    with pytest.raises(ShapeError, match=message) as refused:
+        forward(None, bad)
+    assert refused.traceback[-1].name == "dense"
 
 
 class TestParameterFile:

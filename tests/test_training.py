@@ -14,6 +14,7 @@ from saflab import (
     DataError,
     DomainSpec,
     MixupPolicy,
+    StateError,
     TrainConfig,
     build_bundle,
     evaluate,
@@ -210,6 +211,19 @@ class TestTrainStep:
         train_step(bundle, src, tgt.without_labels(), cfg, 0, np.random.default_rng(3))
         assert calls == {"B": 2, "D": 2, "adversary": 0, "grad_reverse": 0}
 
+    @pytest.mark.parametrize("backbone", ["dann", "mdd"])
+    def test_an_empty_only_certain_pool_adds_no_mixup_term(self, backbone):
+        # no row's entropy is below 0, so the filter leaves the mixup no row
+        cfg = tiny_config(backbone=backbone, mixup=MixupPolicy(entropy_filter="only_certain",
+                                                               entropy_threshold=0.0))
+        src, tgt = moon_pair(16)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        m_before = [p.tensor.data.tobytes() for p in bundle.M.parameters()]
+        terms = train_step(bundle, src, tgt.without_labels(), cfg, 2, np.random.default_rng(3))
+        assert terms["eps_m"] == 0.0
+        assert [p.tensor.data.tobytes() for p in bundle.M.parameters()] == m_before
+        assert evaluate(bundle, src, tgt, cfg, iteration=1).eps_m == 0.0
+
 
 class TestEvaluate:
     def test_untrained_accuracy_near_chance(self):
@@ -251,6 +265,17 @@ class TestEvaluate:
         bundle = build_bundle(cfg, np.random.default_rng(2))
         rec = evaluate(bundle, src, tgt, cfg)
         assert not math.isnan(rec.mdd_est)
+
+    def test_overflowing_features_fail_loudly(self):
+        # parameters and running statistics stay finite, but F's output overflows
+        cfg = tiny_config()
+        src, tgt = moon_pair(20)
+        bundle = build_bundle(cfg, np.random.default_rng(2))
+        for layer in bundle.F.layers:
+            layer.w.tensor.data[:] = 1e300
+        with pytest.raises(StateError, match="^evaluation at iteration 7: non-finite source "
+                                             "features; the model has diverged$"):
+            evaluate(bundle, src, tgt, cfg, iteration=7)
 
     @pytest.mark.parametrize("backbone", ["dann", "mdd"])
     @pytest.mark.parametrize("after, b_passes", [(False, 3), (True, 2)])
