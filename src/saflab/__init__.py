@@ -5,6 +5,24 @@ shuffle-augmentation-of-features (SAF) mixup module, built on an in-package
 reverse-mode autodiff engine over dense float64 tensors.
 """
 
+import ctypes
+
+
+def _pin_heap_trim() -> None:
+    """Fix glibc's trim threshold (``M_TRIM_THRESHOLD``, -1) at 256 MiB.
+
+    By default glibc moves the threshold as blocks are freed, so a process
+    keeps returning the top of its heap and page-faulting it back, and heap
+    layout decides whether steps or evaluations pay.  A no-op without glibc.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(-1, 1 << 28)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_pin_heap_trim()
+
 from .autodiff import (
     BatchNormState,
     Parameter,

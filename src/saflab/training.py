@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import Batch, cycle_batches
+from .data import Batch, cycle_batches, write_atomic
 from .exceptions import ConfigError, DataError, StateError
 from .losses import (
     MarginParams,
@@ -361,6 +361,8 @@ def run_experiment(
     """Full run: T steps over independently cycling loaders, periodic evals.
 
     Writes metrics.csv incrementally and the final parameters to model.txt.
+    A run that raises :class:`StateError` first writes error.txt: the
+    iteration it reached, the exception type and the message.
     Fully deterministic given (config, data): all randomness flows from
     SeedSequence(config.seed).
     """
@@ -375,15 +377,20 @@ def run_experiment(
     tgt_iter = cycle_batches(tgt_train, config.batch_size, np.random.default_rng(tgt_ss))
     step_rng = np.random.default_rng(step_ss)
 
-    metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        f.write(METRICS_HEADER + "\n")
-        for t in range(config.total_iterations):
-            train_step(bundle, next(src_iter), next(tgt_iter), config, t, step_rng)
-            done = t + 1
-            if done % config.eval_every == 0:
-                rec = evaluate(bundle, source, target, config, iteration=done)
-                f.write(rec.csv_row() + "\n")
-                f.flush()
-    bundle.save_params(out_dir / "model.txt")
+    done = 0
+    try:
+        with open(out_dir / "metrics.csv", "w", encoding="utf-8") as f:
+            f.write(METRICS_HEADER + "\n")
+            for t in range(config.total_iterations):
+                train_step(bundle, next(src_iter), next(tgt_iter), config, t, step_rng)
+                done = t + 1
+                if done % config.eval_every == 0:
+                    rec = evaluate(bundle, source, target, config, iteration=done)
+                    f.write(rec.csv_row() + "\n")
+                    f.flush()
+        bundle.save_params(out_dir / "model.txt")
+    except StateError as exc:
+        write_atomic(out_dir / "error.txt",
+                     f"iteration: {done}\ntype: {type(exc).__name__}\nmessage: {exc}\n")
+        raise
     return out_dir

@@ -71,6 +71,7 @@ class TestRunWithSeeds:
         assert on_disk["aggregate"] == manifest["aggregate"]
         assert set(on_disk["data_hashes"]) == {"source", "target"}
         assert (out / "config.cfg").exists()
+        assert not list(out.rglob("error.txt"))
 
     def test_seed_runs_match_single_runs(self, data_dir, tmp_path):
         cfg = parse_config((data_dir / "tiny.cfg").read_text())
@@ -776,6 +777,9 @@ class TestCli:
         assert code == 2
         assert "train step 1: non-finite eps_c (nan)" in capsys.readouterr().err
         assert not (tmp_path / "run" / "seed_0" / "model.txt").exists()
+        assert (tmp_path / "run" / "seed_0" / "error.txt").read_text(encoding="utf-8") == (
+            "iteration: 1\ntype: StateError\n"
+            "message: train step 1: non-finite eps_c (nan); the model has diverged\n")
         assert main(["ablate", "--config", str(cfg), "--seeds", "0",
                      "--out", str(tmp_path / "abl")]) == 0
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
@@ -799,6 +803,19 @@ class TestCli:
         rows = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
         assert [r.split(",", 1)[0] for r in rows] == list(runs.ABLATION_VARIANTS)
         assert all(r.endswith(f",nan,nan,error: {error}") for r in rows), rows
+
+    def test_default_config_at_a_huge_rate_leaves_error_txt(self, tmp_path, capsys):
+        # by the first evaluation B's running variance has overflowed
+        assert main(["gen-data", "--out", str(tmp_path / "d")]) == 0
+        cfg = tmp_path / "d" / "lr.cfg"
+        cfg.write_text("[train]\nbase_lr = 50\n", encoding="utf-8")
+        error = "evaluation at iteration 500: non-finite B.0.bn_var; the model has diverged"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"saflab: error: {error}\n"
+        run = tmp_path / "run" / "seed_0"
+        assert sorted(p.name for p in run.iterdir()) == ["error.txt", "metrics.csv"]
+        assert (run / "error.txt").read_text(encoding="utf-8") == (
+            f"iteration: 500\ntype: StateError\nmessage: {error}\n")
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("seeds", ["4..0", ",", "a", "0,0", "1..x", "-1"])

@@ -35,6 +35,11 @@ Decision rule:
 This rule judges an in-step change finely; the benchmark's end-to-end
 verdict on a change is separate and unaffected by it.
 
+Both trees share one process, and so one heap and one allocator.  A change
+at the allocator level, such as the glibc trim threshold that importing
+saflab pins, acts on both sides at once and is invisible here.  Such a
+change is judged only by interleaved pairs of separate benchmark runs.
+
 Exit status: 0 when the report is written, 1 on bad arguments or an
 unknown revision, 2 when the two sides' bytes differ.
 """
